@@ -2,7 +2,7 @@
 //! paper): leaves are the patterns discovered through tokenization and every
 //! internal node is a parent (more generic) pattern.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use clx_pattern::Pattern;
 
@@ -23,9 +23,12 @@ pub struct ClusterNode {
     pub children: Vec<NodeId>,
     /// Parent (more generic pattern), if any.
     pub parent: Option<NodeId>,
-    /// Indices into the profiled data of the rows covered by this cluster.
-    /// For internal nodes this is the union of the children's rows.
-    pub rows: Vec<usize>,
+    /// Indices into the profiled column's distinct-value table of the
+    /// values in this cluster, ascending. For internal nodes this is the
+    /// union of the children's members.
+    pub members: Vec<usize>,
+    /// Number of rows covered: the sum of the members' multiplicities.
+    size: usize,
     /// A few example raw values, for display purposes.
     pub examples: Vec<String>,
 }
@@ -38,7 +41,7 @@ impl ClusterNode {
 
     /// Number of rows covered by this cluster.
     pub fn size(&self) -> usize {
-        self.rows.len()
+        self.size
     }
 }
 
@@ -48,31 +51,41 @@ impl ClusterNode {
 /// higher level holds the covering parent patterns produced by one round of
 /// agglomerative refinement. The hierarchy retains every pattern discovered
 /// — nothing is lost by generalization (§4.2).
+///
+/// Clusters hold distinct values, not rows: the hierarchy keeps the
+/// profiled column's shared row map and derives row membership from it.
 #[derive(Debug, Clone, Default)]
 pub struct PatternHierarchy {
     nodes: Vec<ClusterNode>,
     levels: Vec<Vec<NodeId>>,
-    total_rows: usize,
+    /// Row -> distinct-value index: the profiled column's row map.
+    row_map: Arc<[u32]>,
+    /// Distinct-value index -> the leaf holding that value.
+    leaf_of_distinct: Vec<NodeId>,
 }
 
 impl PatternHierarchy {
-    /// Create an empty hierarchy (used by the profiler).
-    pub(crate) fn new(total_rows: usize) -> Self {
+    /// Create an empty hierarchy over a column with `distinct_count`
+    /// distinct values and the given row map (used by the profiler).
+    pub(crate) fn new(row_map: Arc<[u32]>, distinct_count: usize) -> Self {
         PatternHierarchy {
             nodes: Vec::new(),
             levels: Vec::new(),
-            total_rows,
+            row_map,
+            leaf_of_distinct: vec![NodeId::MAX; distinct_count],
         }
     }
 
-    /// Add a node; returns its id. `level` must be `levels.len() - 1` or
-    /// `levels.len()` (nodes are added level by level).
+    /// Add a node covering `size` rows; returns its id. `level` must be
+    /// `levels.len() - 1` or `levels.len()` (nodes are added level by
+    /// level), and `members` must be ascending.
     pub(crate) fn add_node(
         &mut self,
         pattern: Pattern,
         level: usize,
         children: Vec<NodeId>,
-        rows: Vec<usize>,
+        members: Vec<usize>,
+        size: usize,
         examples: Vec<String>,
     ) -> NodeId {
         let id = self.nodes.len();
@@ -82,6 +95,11 @@ impl PatternHierarchy {
         for &child in &children {
             self.nodes[child].parent = Some(id);
         }
+        if level == 0 {
+            for &member in &members {
+                self.leaf_of_distinct[member] = id;
+            }
+        }
         self.levels[level].push(id);
         self.nodes.push(ClusterNode {
             id,
@@ -89,7 +107,8 @@ impl PatternHierarchy {
             level,
             children,
             parent: None,
-            rows,
+            members,
+            size,
             examples,
         });
         id
@@ -133,15 +152,13 @@ impl PatternHierarchy {
 
     /// Number of rows that were profiled.
     pub fn total_rows(&self) -> usize {
-        self.total_rows
+        self.row_map.len()
     }
 
     /// The leaf cluster containing data row `row`, if any.
     pub fn leaf_of_row(&self, row: usize) -> Option<&ClusterNode> {
-        self.level(0)
-            .iter()
-            .map(|&id| self.node(id))
-            .find(|n| n.rows.contains(&row))
+        let &value = self.row_map.get(row)?;
+        self.nodes.get(self.leaf_of_distinct[value as usize])
     }
 
     /// Find the leaf cluster whose pattern equals `pattern`.
@@ -181,27 +198,45 @@ impl PatternHierarchy {
 
     /// Verify structural invariants; used by tests and debug assertions.
     ///
-    /// * every row appears in exactly one leaf;
-    /// * each internal node's rows are the union of its children's rows;
+    /// * every distinct value appears in exactly one leaf;
+    /// * each node's members are ascending and its size is the sum of their
+    ///   multiplicities;
+    /// * leaf sizes sum to the number of profiled rows;
+    /// * each internal node's members are the union of its children's;
     /// * each internal node's pattern covers all of its children's patterns;
     /// * parent/child links are mutually consistent.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut row_owner: HashMap<usize, NodeId> = HashMap::new();
-        for &leaf in self.level(0) {
-            for &row in &self.node(leaf).rows {
-                if let Some(prev) = row_owner.insert(row, leaf) {
-                    return Err(format!("row {row} is in two leaves: {prev} and {leaf}"));
-                }
-            }
+        let mut multiplicity = vec![0usize; self.leaf_of_distinct.len()];
+        for &value in self.row_map.iter() {
+            *multiplicity
+                .get_mut(value as usize)
+                .ok_or(format!("row map names unknown value {value}"))? += 1;
         }
-        if row_owner.len() != self.total_rows {
-            return Err(format!(
-                "leaves cover {} rows but {} were profiled",
-                row_owner.len(),
-                self.total_rows
-            ));
+        let leaves = self.level(0).iter().map(|&id| self.node(id));
+        let mut held: Vec<usize> = leaves.clone().flat_map(|n| n.members.clone()).collect();
+        held.sort_unstable();
+        let leaf_rows: usize = leaves.map(ClusterNode::size).sum();
+        if !held.into_iter().eq(0..multiplicity.len()) || leaf_rows != self.total_rows() {
+            return Err("leaves do not hold each distinct value and row once".into());
         }
         for node in &self.nodes {
+            let mut union: Vec<usize> = node
+                .children
+                .iter()
+                .flat_map(|&c| self.node(c).members.clone())
+                .collect();
+            union.sort_unstable();
+            if !node.members.windows(2).all(|w| w[0] < w[1])
+                || (!node.is_leaf() && union != node.members)
+            {
+                return Err(format!("node {} members break order or union", node.id));
+            }
+            // In range: leaf members were checked above, and an internal
+            // node's members equal those of children added before it.
+            let size: usize = node.members.iter().map(|&v| multiplicity[v]).sum();
+            if node.size != size {
+                return Err(format!("node {} size {} is not {size}", node.id, node.size));
+            }
             for &child in &node.children {
                 let child_node = self.node(child);
                 if child_node.parent != Some(node.id) {
@@ -211,22 +246,6 @@ impl PatternHierarchy {
                     return Err(format!(
                         "node {} pattern {} does not cover child pattern {}",
                         node.id, node.pattern, child_node.pattern
-                    ));
-                }
-            }
-            if !node.is_leaf() {
-                let mut union: Vec<usize> = node
-                    .children
-                    .iter()
-                    .flat_map(|&c| self.node(c).rows.clone())
-                    .collect();
-                union.sort_unstable();
-                let mut own = node.rows.clone();
-                own.sort_unstable();
-                if union != own {
-                    return Err(format!(
-                        "node {} rows are not the union of its children's rows",
-                        node.id
                     ));
                 }
             }
@@ -241,13 +260,14 @@ mod tests {
     use clx_pattern::tokenize;
 
     fn tiny_hierarchy() -> PatternHierarchy {
-        // two leaves under one root
-        let mut h = PatternHierarchy::new(3);
+        // two leaves under one root; rows 0 and 2 hold distinct value 0
+        let mut h = PatternHierarchy::new(Arc::from(vec![0, 1, 0]), 2);
         let l1 = h.add_node(
             tokenize("734-422-8073"),
             0,
             vec![],
-            vec![0, 2],
+            vec![0],
+            2,
             vec!["734-422-8073".into()],
         );
         let l2 = h.add_node(
@@ -255,6 +275,7 @@ mod tests {
             0,
             vec![],
             vec![1],
+            1,
             vec!["73-42-80".into()],
         );
         let parent = clx_pattern::parse_pattern("<D>+'-'<D>+'-'<D>+").unwrap();
@@ -262,7 +283,8 @@ mod tests {
             parent,
             1,
             vec![l1, l2],
-            vec![0, 1, 2],
+            vec![0, 1],
+            3,
             vec!["734-422-8073".into()],
         );
         h
@@ -331,16 +353,23 @@ mod tests {
 
     #[test]
     fn invariant_violation_is_detected() {
-        let mut h = PatternHierarchy::new(2);
-        // Row 0 appears in two leaves.
-        h.add_node(tokenize("a"), 0, vec![], vec![0], vec![]);
-        h.add_node(tokenize("1"), 0, vec![], vec![0, 1], vec![]);
+        let mut h = PatternHierarchy::new(Arc::from(vec![0, 1]), 2);
+        // Value 0 appears in two leaves.
+        h.add_node(tokenize("a"), 0, vec![], vec![0], 1, vec![]);
+        h.add_node(tokenize("1"), 0, vec![], vec![0, 1], 2, vec![]);
         assert!(h.check_invariants().is_err());
+
+        // A size that is not the sum of the members' multiplicities.
+        let mut h = PatternHierarchy::new(Arc::from(vec![0, 1, 0]), 2);
+        h.add_node(tokenize("a"), 0, vec![], vec![0], 1, vec![]);
+        h.add_node(tokenize("1"), 0, vec![], vec![1], 2, vec![]);
+        let err = h.check_invariants().unwrap_err();
+        assert!(err.contains("size"), "{err}");
     }
 
     #[test]
     fn empty_hierarchy() {
-        let h = PatternHierarchy::new(0);
+        let h = PatternHierarchy::default();
         assert_eq!(h.level_count(), 0);
         assert!(h.leaves().is_empty());
         assert!(h.roots().is_empty());

@@ -4,10 +4,11 @@
 //!
 //! Profiling runs over the shared column data plane ([`clx_column::Column`]):
 //! only the column's *distinct* values are analyzed — their leaf patterns
-//! and token streams come straight from the column's cache — and the
-//! resulting cluster row sets are fanned back out to original row indices
-//! through the column's multiplicity lists. A duplicate-heavy column
-//! therefore profiles in O(distinct values), not O(rows).
+//! and token streams come straight from the column's cache — and each
+//! cluster holds distinct values plus the sum of their multiplicities.
+//! Rows are never listed: the hierarchy keeps the column's shared row map.
+//! A duplicate-heavy column therefore profiles in O(distinct values), not
+//! O(rows).
 
 use std::collections::HashMap;
 
@@ -89,10 +90,11 @@ impl PatternProfiler {
     ///
     /// Phase 1 clusters the column's *distinct* values by their cached leaf
     /// patterns and runs constant discovery over the cached token streams;
-    /// row sets are fanned back out through the column's multiplicity
-    /// lists. Phase 2 (agglomerative refinement) operates on patterns only.
+    /// cluster sizes sum the members' multiplicities. Phase 2 (agglomerative
+    /// refinement) operates on patterns only.
     pub fn profile_column(&self, column: &Column) -> PatternHierarchy {
-        let mut hierarchy = PatternHierarchy::new(column.len());
+        let mut hierarchy =
+            PatternHierarchy::new(column.row_map().clone(), column.distinct_count());
 
         // ---- Phase 1: initial clustering through tokenization (§4.1) ----
         // Group distinct values by their cached leaf pattern. `clusters`
@@ -142,10 +144,15 @@ impl PatternProfiler {
                 } else {
                     let conforming_values: Vec<usize> =
                         conforming.iter().map(|&i| members[i]).collect();
+                    let mut conforms = vec![false; members.len()];
+                    for &i in &conforming {
+                        conforms[i] = true;
+                    }
                     let rest: Vec<usize> = members
                         .iter()
-                        .copied()
-                        .filter(|v| !conforming_values.contains(v))
+                        .zip(&conforms)
+                        .filter(|(_, &c)| !c)
+                        .map(|(&v, _)| v)
                         .collect();
                     final_clusters.push((refined, conforming_values));
                     final_clusters.push((pattern, rest));
@@ -165,21 +172,21 @@ impl PatternProfiler {
             }
         }
 
-        // Materialize the leaf nodes: fan distinct-value membership back out
-        // to original row indices through the multiplicity lists.
+        // Materialize the leaf nodes; a leaf's size sums its members'
+        // multiplicities.
         let mut current_level: Vec<NodeId> = Vec::new();
-        for (pattern, members) in merged {
-            let mut rows: Vec<usize> = members
-                .iter()
-                .flat_map(|&v| column.distinct(v).rows())
-                .collect();
-            rows.sort_unstable();
+        for (pattern, mut members) in merged {
             let examples = members
                 .iter()
                 .take(self.options.examples_per_cluster)
                 .map(|&v| column.distinct(v).text().to_string())
                 .collect();
-            let id = hierarchy.add_node(pattern, 0, Vec::new(), rows, examples);
+            members.sort_unstable();
+            let size = members
+                .iter()
+                .map(|&v| column.distinct(v).multiplicity())
+                .sum();
+            let id = hierarchy.add_node(pattern, 0, Vec::new(), members, size, examples);
             current_level.push(id);
         }
 
@@ -203,17 +210,19 @@ impl PatternProfiler {
             let mut next_level = Vec::new();
             for (parent_pattern, child_idxs) in refined {
                 let children: Vec<NodeId> = child_idxs.iter().map(|&i| current_level[i]).collect();
-                let mut rows: Vec<usize> = children
+                let mut members: Vec<usize> = children
                     .iter()
-                    .flat_map(|&c| hierarchy.node(c).rows.clone())
+                    .flat_map(|&c| hierarchy.node(c).members.iter().copied())
                     .collect();
-                rows.sort_unstable();
+                members.sort_unstable();
+                let size = children.iter().map(|&c| hierarchy.node(c).size()).sum();
                 let examples = children
                     .iter()
                     .flat_map(|&c| hierarchy.node(c).examples.clone())
                     .take(self.options.examples_per_cluster)
                     .collect();
-                let id = hierarchy.add_node(parent_pattern, level, children, rows, examples);
+                let id =
+                    hierarchy.add_node(parent_pattern, level, children, members, size, examples);
                 next_level.push(id);
             }
             current_level = next_level;
@@ -227,7 +236,7 @@ impl PatternProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clx_pattern::parse_pattern;
+    use clx_pattern::{parse_pattern, tokenize};
 
     fn phone_data() -> Vec<&'static str> {
         vec![
@@ -361,12 +370,12 @@ mod tests {
 
     #[test]
     fn row_weighted_constants_flow_through_the_profiler() {
-        // 18 rows agree on the "CPT" prefix, 1 typo row disagrees: only the
-        // row-weighted mode (with a sub-1.0 threshold) folds the prefix and
-        // splits the typo into its own cluster.
+        // 18 rows agree on the "CPT" prefix, 1 typo row between them
+        // disagrees: only the row-weighted mode (with a sub-1.0 threshold)
+        // folds the prefix and splits the typo into its own cluster.
         let mut data = vec!["CPT115"; 10];
-        data.extend(vec!["CPT200"; 8]);
         data.push("XYZ999");
+        data.extend(vec!["CPT200"; 8]);
 
         let default = PatternProfiler::with_options(ProfilerOptions {
             constant_options: crate::ConstantDiscoveryOptions {
@@ -395,9 +404,12 @@ mod tests {
             .iter()
             .find(|n| n.pattern.to_string().starts_with("'CPT'"))
             .expect("row-weighted profiling folds the dominant prefix");
-        assert_eq!(folded.size(), 18);
+        assert_eq!((folded.members.clone(), folded.size()), (vec![0, 2], 18));
         // The typo splits into its own cluster; every row stays accounted.
+        let typo = row_weighted.find_leaf(&tokenize("XYZ999")).unwrap();
+        assert_eq!((typo.members.clone(), typo.size()), (vec![1], 1));
         assert_eq!(row_weighted.total_rows(), 19);
+        row_weighted.check_invariants().unwrap();
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   stream instead of once per chunk.
 //!
 //! Everything downstream then works in O(distinct) instead of O(rows):
-//! the profiler clusters distinct values and fans counts back out to row
-//! indices, synthesis validates plans against cached token streams, and the
+//! the profiler clusters distinct values and sums their row counts,
+//! synthesis validates plans against cached token streams, and the
 //! engine dispatches on cached leaf signatures — by integer leaf-id, an
 //! array index — without ever re-tokenizing.
 //!
@@ -916,20 +916,13 @@ impl ColumnInterner {
                     .expect("eviction-free interner has no tombstones");
                 DistinctEntry {
                     span: e.span,
-                    rows: Vec::new(),
+                    multiplicity: 0,
                     tokenized: e.tokenized,
                     leaf_id: e.leaf_id,
                 }
             })
             .collect();
-        for (row_index, &value_index) in row_map.iter().enumerate() {
-            assert!(
-                (value_index as usize) < values.len(),
-                "row map entry {value_index} out of bounds ({} distinct values)",
-                values.len()
-            );
-            values[value_index as usize].rows.push(row_index as u32);
-        }
+        count_multiplicities(&mut values, &row_map);
         Column {
             arena: self.arena,
             values,
@@ -1221,18 +1214,35 @@ impl ColumnBuilder {
     }
 }
 
-/// One distinct value's interned span, row list and cached analysis.
+/// One distinct value's interned span, row count and cached analysis.
 #[derive(Debug, Clone)]
 struct DistinctEntry {
     /// Half-open byte span of the value inside the column arena.
     span: (usize, usize),
-    /// Original row indices holding this value, in ascending order.
-    rows: Vec<u32>,
+    /// Number of rows holding this value; the rows themselves are read from
+    /// the column's row map.
+    multiplicity: u32,
     /// The cached token stream: leaf pattern plus per-token slices,
     /// computed exactly once per distinct value.
     tokenized: TokenizedString,
     /// Dense id of this value's leaf pattern within the column's id space.
     leaf_id: u32,
+}
+
+/// Set each entry's multiplicity from `row_map`.
+///
+/// # Panics
+///
+/// Panics if a `row_map` entry is out of bounds.
+fn count_multiplicities(entries: &mut [DistinctEntry], row_map: &[u32]) {
+    for &value_index in row_map {
+        assert!(
+            (value_index as usize) < entries.len(),
+            "row map entry {value_index} out of bounds ({} distinct values)",
+            entries.len()
+        );
+        entries[value_index as usize].multiplicity += 1;
+    }
 }
 
 /// A column of string data with interned rows, deduplicated values and
@@ -1325,19 +1335,12 @@ impl Column {
             arena.push_str(&tokenized.raw);
             entries.push(DistinctEntry {
                 span: (start, arena.len()),
-                rows: Vec::new(),
+                multiplicity: 0,
                 tokenized,
                 leaf_id,
             });
         }
-        for (row_index, &value_index) in row_map.iter().enumerate() {
-            assert!(
-                (value_index as usize) < entries.len(),
-                "row map entry {value_index} out of bounds ({} distinct values)",
-                entries.len()
-            );
-            entries[value_index as usize].rows.push(row_index as u32);
-        }
+        count_multiplicities(&mut entries, &row_map);
         Column {
             arena,
             values: entries,
@@ -1495,7 +1498,7 @@ impl FromIterator<String> for Column {
 }
 
 /// A handle to one distinct value of a [`Column`]: its interned text, the
-/// original rows holding it, and its cached token stream.
+/// number of rows holding it, and its cached token stream.
 #[derive(Debug, Clone, Copy)]
 pub struct DistinctValue<'a> {
     column: &'a Column,
@@ -1520,12 +1523,7 @@ impl<'a> DistinctValue<'a> {
 
     /// Number of rows holding this value.
     pub fn multiplicity(&self) -> usize {
-        self.entry().rows.len()
-    }
-
-    /// Original row indices holding this value, ascending.
-    pub fn rows(&self) -> impl Iterator<Item = usize> + 'a {
-        self.entry().rows.iter().map(|&r| r as usize)
+        self.entry().multiplicity as usize
     }
 
     /// The cached leaf pattern (the value's `tokenize` signature).
@@ -1596,10 +1594,9 @@ mod tests {
         let c = sample();
         let phone = c.distinct(0);
         assert_eq!(phone.multiplicity(), 3);
-        assert_eq!(phone.rows().collect::<Vec<_>>(), vec![0, 2, 5]);
         let na = c.distinct(1);
         assert_eq!(na.multiplicity(), 2);
-        assert_eq!(na.rows().collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(c.row_map().as_ref(), &[0, 1, 0, 2, 1, 0]);
         assert_eq!(c.distinct_index_of(3), 2);
         // Every row is owned by exactly one distinct value.
         let total: usize = c.distinct_values().map(|v| v.multiplicity()).sum();
@@ -1684,11 +1681,12 @@ mod tests {
         assert_eq!(rebuilt.distinct_count(), baseline.distinct_count());
         assert_eq!(rebuilt.leaf_count(), baseline.leaf_count());
         assert_eq!(rebuilt.to_vec(), rows);
+        assert_eq!(rebuilt.row_map().as_ref(), baseline.row_map().as_ref());
         for (a, b) in rebuilt.distinct_values().zip(baseline.distinct_values()) {
             assert_eq!(a.text(), b.text());
             assert_eq!(a.leaf(), b.leaf());
             assert_eq!(a.leaf_id(), b.leaf_id());
-            assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
+            assert_eq!(a.multiplicity(), b.multiplicity());
         }
     }
 
@@ -1882,10 +1880,11 @@ mod tests {
         assert_eq!(column.to_vec(), baseline.to_vec());
         assert_eq!(column.distinct_count(), baseline.distinct_count());
         assert_eq!(column.leaf_count(), baseline.leaf_count());
+        assert_eq!(column.row_map().as_ref(), baseline.row_map().as_ref());
         for (a, b) in column.distinct_values().zip(baseline.distinct_values()) {
             assert_eq!(a.text(), b.text());
             assert_eq!(a.leaf_id(), b.leaf_id());
-            assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
+            assert_eq!(a.multiplicity(), b.multiplicity());
         }
     }
 
@@ -2111,7 +2110,7 @@ mod tests {
             assert_eq!(va.leaf(), vb.leaf());
             assert_eq!(va.leaf_id(), vb.leaf_id());
             assert_eq!(va.tokenized().slices.len(), vb.tokenized().slices.len());
-            assert_eq!(va.rows().collect::<Vec<_>>(), vb.rows().collect::<Vec<_>>());
+            assert_eq!(va.multiplicity(), vb.multiplicity());
         }
     }
 

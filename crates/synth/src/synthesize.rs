@@ -183,23 +183,16 @@ fn eval_on_distinct(
 }
 
 /// The data check: keep only the plans that transform every sampled
-/// distinct value of `node`'s cluster into a target-matching string.
+/// distinct value of `node`'s cluster into a target-matching string. The
+/// sample is the node's first members: ascending distinct index is the
+/// column's first-occurrence order.
 fn data_checked_plans(
     plans: Vec<RankedPlan>,
     node: &ClusterNode,
     column: &Column,
     target: &Pattern,
 ) -> Vec<RankedPlan> {
-    let mut sample: Vec<usize> = Vec::new();
-    for &row in &node.rows {
-        let v = column.distinct_index_of(row);
-        if !sample.contains(&v) {
-            sample.push(v);
-            if sample.len() >= DATA_CHECK_EXAMPLES {
-                break;
-            }
-        }
-    }
+    let sample = &node.members[..node.members.len().min(DATA_CHECK_EXAMPLES)];
     plans
         .into_iter()
         .filter(|plan| {

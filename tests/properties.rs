@@ -9,6 +9,7 @@ use clx::pattern::{parse_pattern, tokenize};
 use clx::regex::Regex;
 use clx::synth::{align, validate};
 use clx::unifi::{eval_expr, explain_branch, Branch};
+use clx::ColumnBuilder;
 
 /// Strategy: strings drawn from the kind of characters CLX columns contain.
 fn data_string() -> impl Strategy<Value = String> {
@@ -52,6 +53,27 @@ fn data_column() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(data_string(), 1..20)
 }
 
+/// Strategy: a column whose rows repeat values drawn from a small pool.
+/// The pool's alphabet is narrow so that its values often share a parent
+/// pattern.
+fn repeated_column() -> impl Strategy<Value = Vec<String>> {
+    let value = proptest::collection::vec(
+        prop_oneof![Just('a'), Just('B'), Just('7'), Just('-')],
+        1..6,
+    )
+    .prop_map(|chars| chars.into_iter().collect::<String>());
+    (
+        proptest::collection::vec(value, 1..6),
+        proptest::collection::vec(0..6usize, 1..60),
+    )
+        .prop_map(|(pool, picks)| {
+            picks
+                .into_iter()
+                .map(|i| pool[i % pool.len()].clone())
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -69,14 +91,36 @@ proptest! {
     }
 
     /// Profiling covers every row exactly once, every row matches its leaf
-    /// pattern, and every root covers every leaf below it.
+    /// pattern, and every root covers every leaf below it. On columns with
+    /// repeated values, built in one or two shards, every cluster's size is
+    /// the number of rows whose leaf lies below it.
     #[test]
-    fn hierarchy_invariants(column in data_column()) {
+    fn hierarchy_invariants(column in data_column(), repeated in repeated_column()) {
         let hierarchy = PatternProfiler::new().profile(&column);
         prop_assert!(hierarchy.check_invariants().is_ok());
         for (i, value) in column.iter().enumerate() {
             let leaf = hierarchy.leaf_of_row(i).expect("row in a leaf");
             prop_assert!(leaf.pattern.matches(value));
+        }
+
+        for shards in [1, 2] {
+            let built = ColumnBuilder::new().shards(shards).build(repeated.clone());
+            let hierarchy = PatternProfiler::new().profile_column(&built);
+            prop_assert!(hierarchy.check_invariants().is_ok());
+            let mut counted = vec![0usize; hierarchy.nodes().len()];
+            for (row, &value) in built.row_map().iter().enumerate() {
+                let leaf = hierarchy.leaf_of_row(row).expect("row in a leaf");
+                prop_assert!(leaf.pattern.matches(&repeated[row]));
+                let mut node = Some(leaf);
+                while let Some(n) = node {
+                    prop_assert!(n.members.contains(&(value as usize)));
+                    counted[n.id] += 1;
+                    node = n.parent.map(|p| hierarchy.node(p));
+                }
+            }
+            for node in hierarchy.nodes() {
+                prop_assert_eq!(node.size(), counted[node.id]);
+            }
         }
     }
 
