@@ -130,12 +130,13 @@ pub enum BudgetPolicy {
     Evict,
     /// Never evict. The interner itself only *reports* the condition via
     /// [`ColumnInterner::over_budget`] — by itself it keeps interning
-    /// whatever it is handed, because degrading needs a per-row execution
-    /// path the interner does not have. Enforcement is the chunk
-    /// producer's job: `clx-engine`'s `ColumnStream` checks
-    /// `over_budget()` after each chunk, stops interning, and degrades to
-    /// the per-row `&[String]` path. Callers driving a `Fallback` interner
-    /// by hand must do the same, or the budget is inert.
+    /// whatever it is handed, because only its owner can route later
+    /// chunks elsewhere. Enforcement is the chunk producer's job:
+    /// `clx-engine`'s `ColumnStream` checks `over_budget()` after each
+    /// chunk, stops interning into this interner, and interns each later
+    /// chunk through a throwaway interner scoped to that chunk. Callers
+    /// driving a `Fallback` interner by hand must do the same, or the
+    /// budget is inert.
     Fallback,
 }
 
@@ -519,7 +520,7 @@ impl ColumnInterner {
     /// `true` when the live state exceeds the budget. Under
     /// [`BudgetPolicy::Evict`] the next chunk boundary clears this; under
     /// [`BudgetPolicy::Fallback`] it is the owning stream's signal to stop
-    /// interning and degrade to a per-row path.
+    /// interning into this interner.
     pub fn over_budget(&self) -> bool {
         self.live > self.budget.max_distinct || self.live_bytes > self.budget.max_arena_bytes
     }

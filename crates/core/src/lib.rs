@@ -26,7 +26,7 @@
 //! [`RowOutcome`] per *distinct* value plus the column's shared row map, so
 //! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
 //! execution beyond the interactive loop, [`ClxSession::compile`] hands the
-//! program to the `clx-engine` batch subsystem (parallel chunked execution,
+//! program to the `clx-engine` batch subsystem (interned columnar execution,
 //! streaming, program caching); [`ClxSession::apply_parallel`] is the
 //! drop-in engine-backed counterpart of [`ClxSession::apply`].
 //!
@@ -74,8 +74,7 @@ pub use session::{
 pub use clx_cluster::{ClusterNode, PatternHierarchy, PatternProfiler, ProfilerOptions};
 pub use clx_column::{Column, ColumnBuilder, ColumnChunk, ColumnInterner, DistinctValue};
 pub use clx_engine::{
-    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ExecOptions, ProgramCache,
-    RowOutcomes, StreamSession,
+    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ProgramCache, RowOutcomes,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{RankedPlan, Synthesis, SynthesisOptions};

@@ -33,8 +33,8 @@ pub struct TransformReport {
 impl TransformReport {
     /// Wrap a `clx-engine` batch report. This is **zero-copy**: the engine
     /// and the session share one outcome representation, so the stored
-    /// outcomes and the row map move in unchanged — whether the batch came
-    /// from the chunked per-row path or the columnar path.
+    /// outcomes and the row map move in unchanged, whether the batch is
+    /// columnar or was merged from per-row chunks.
     pub fn from_batch(batch: BatchReport) -> Self {
         TransformReport {
             batch,

@@ -31,7 +31,7 @@ use clx_engine::{ColumnStream, CompiledProgram};
 use clx_pattern::{tokenize, tokenize_detailed, Pattern, SplitTokenizer, TokenizedString};
 use clx_synth::{synthesize_column, RankedPlan, Synthesis, SynthesisOptions};
 use clx_telemetry::{MetricSink, Span};
-use clx_unifi::{explain_program, transform_lenient, Explanation, Program, TransformOutcome};
+use clx_unifi::{explain_program, transform_lenient, Explanation, Program};
 
 use crate::report::{RowOutcome, TransformReport};
 
@@ -475,23 +475,11 @@ impl ClxSession<Labelled> {
         let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
         let target = &self.phase.target;
         let program = self.program();
-        let mut decided = Vec::with_capacity(self.data.distinct_count());
-        for value in self.data.distinct_values() {
-            let text = value.text();
-            if target.matches(text) {
-                decided.push(RowOutcome::Conforming {
-                    value: text.to_string(),
-                });
-                continue;
-            }
-            match transform_lenient(&program, text) {
-                TransformOutcome::Transformed(out) => decided.push(RowOutcome::Transformed {
-                    from: text.to_string(),
-                    to: out,
-                }),
-                TransformOutcome::Flagged(v) => decided.push(RowOutcome::Flagged { value: v }),
-            }
-        }
+        let decided = self
+            .data
+            .distinct_values()
+            .map(|value| RowOutcome::interpreted(&program, target, value.text()))
+            .collect();
         let mut report = TransformReport::columnar(target.clone(), decided, &self.data);
         report.set_provenance(program);
         Ok(report)
@@ -501,10 +489,10 @@ impl ClxSession<Labelled> {
     ///
     /// The returned [`CompiledProgram`] is immutable and `Send + Sync`: it
     /// can be cached (see [`clx_engine::ProgramCache`]), shared across
-    /// threads, executed over other columns in parallel chunks
+    /// threads, executed over other columns
     /// ([`CompiledProgram::execute`]), or streamed over columns larger than
-    /// memory ([`CompiledProgram::stream`]). Its semantics on any column are
-    /// exactly those of [`ClxSession::apply`].
+    /// memory ([`ColumnStream`]). Its semantics on any column are exactly
+    /// those of [`ClxSession::apply`].
     pub fn compile(&self) -> Result<CompiledProgram, ClxError> {
         let _compile = Span::start(self.telemetry.as_ref(), "core.phase.compile_ns");
         // Under a session sink the fused-automaton construction also
@@ -604,10 +592,11 @@ impl ClxSession<Labelled> {
     /// Under the default [`BudgetPolicy::Evict`](clx_column::BudgetPolicy)
     /// the stream evicts its coldest interned values at each chunk
     /// boundary (re-interning them if they reappear); under
-    /// [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy) it degrades to
-    /// the per-row path once over budget. Either way every pushed row's
-    /// outcome is row-for-row identical to the unbounded stream — only the
-    /// retained memory changes, observable via
+    /// [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy) it freezes its
+    /// interned state once over budget and interns each later chunk
+    /// through a throwaway chunk-scoped interner. Either way every pushed
+    /// row's outcome is row-for-row identical to the unbounded stream —
+    /// only the retained memory changes, observable via
     /// [`ColumnStream::memory_used`], [`ColumnStream::evictions`] and the
     /// final [`StreamSummary`](clx_engine::StreamSummary)'s
     /// memory/eviction fields.

@@ -1,31 +1,39 @@
 //! Batch execution over the shared column data plane.
 //!
-//! [`CompiledProgram::execute`] tokenizes every row to dispatch it; a
-//! [`Column`] already carries each distinct value's leaf signature, and its
-//! shared row map says where every duplicate lives. Executing a column
-//! therefore needs exactly one *decision* per distinct value — reusing the
-//! cached leaf for dispatch, never re-tokenizing — and the resulting
-//! [`BatchReport`] is columnar: it keeps the distinct decisions plus a
-//! reference-counted clone of the column's row map, so nothing is cloned
-//! per duplicate row.
+//! A [`Column`] carries each distinct value's leaf signature, and its shared
+//! row map says where every duplicate lives. Executing a column therefore
+//! needs exactly one *decision* per distinct value — reusing the cached leaf
+//! for dispatch, never re-tokenizing — and the resulting [`BatchReport`] is
+//! columnar: it keeps the distinct decisions plus a reference-counted clone
+//! of the column's row map, so nothing is cloned per duplicate row.
+//! [`CompiledProgram::execute`] is the raw-rows adapter: it interns the rows
+//! into a column first, so every batch entry point runs this one path.
 //!
 //! On duplicate-heavy columns (the common real-world case) this makes the
 //! whole batch run — pattern matching *and* reporting — O(distinct).
 
-use clx_column::Column;
+use clx_column::{Column, ColumnBuilder};
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
 use crate::report::{BatchReport, RowOutcome};
 
 impl CompiledProgram {
+    /// Execute the program over raw rows: the rows are interned into a
+    /// [`Column`] by the sharded [`ColumnBuilder`] (deduplication and
+    /// tokenization spread across CPUs, each distinct value tokenized once),
+    /// then run through [`CompiledProgram::execute_column`]. The report is
+    /// columnar.
+    pub fn execute(&self, rows: &[String]) -> BatchReport {
+        self.execute_column(&ColumnBuilder::new().build(rows.to_vec()))
+    }
+
     /// Execute the program over a [`Column`], transforming each *distinct*
     /// value exactly once via its cached leaf signature. The report shares
     /// the column's row map instead of fanning outcomes out per row.
     ///
-    /// The report is row-for-row identical to
-    /// [`CompiledProgram::execute`] over the same rows: a program is a pure
-    /// function of the row value, so duplicates share one outcome.
+    /// A program is a pure function of the row value, so duplicates share
+    /// one outcome and the report answers every row-oriented query.
     pub fn execute_column(&self, column: &Column) -> BatchReport {
         let mut cache = DispatchCache::new();
         self.execute_column_pooled(column, &mut cache)
@@ -45,10 +53,8 @@ impl CompiledProgram {
     /// [`interner_id`](clx_column::Column::interner_id) — re-executing the
     /// same column (or its clones). Handing in a column from a different
     /// interner resets the tier and re-decides its leaves; for cross-chunk
-    /// reuse over a *stream* of data, intern the chunks through one
-    /// persistent interner and use
-    /// [`StreamSession::push_column_chunk`](crate::StreamSession::push_column_chunk)
-    /// or [`ColumnStream`](crate::ColumnStream) instead.
+    /// reuse over a *stream* of data, use [`ColumnStream`](crate::ColumnStream),
+    /// which interns every chunk through one persistent interner.
     pub fn execute_column_pooled(&self, column: &Column, cache: &mut DispatchCache) -> BatchReport {
         // One decision per distinct value, dispatched by dense leaf-id.
         let decided: Vec<RowOutcome> = column
@@ -61,6 +67,7 @@ impl CompiledProgram {
                     v.leaf_id(),
                     v.text(),
                     v.leaf(),
+                    None,
                 )
             })
             .collect();
@@ -71,10 +78,10 @@ impl CompiledProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clx_pattern::tokenize;
+    use clx_pattern::{tokenize, Pattern};
     use clx_unifi::{Branch, Expr, Program, StringExpr};
 
-    fn compiled() -> CompiledProgram {
+    fn source() -> (Program, Pattern) {
         let program = Program::new(vec![Branch::new(
             tokenize("734.236.3466"),
             Expr::concat(vec![
@@ -85,7 +92,12 @@ mod tests {
                 StringExpr::extract(5),
             ]),
         )]);
-        CompiledProgram::compile(&program, &tokenize("734-422-8073")).unwrap()
+        (program, tokenize("734-422-8073"))
+    }
+
+    fn compiled() -> CompiledProgram {
+        let (program, target) = source();
+        CompiledProgram::compile(&program, &target).unwrap()
     }
 
     fn duplicate_heavy_rows(n: usize) -> Vec<String> {
@@ -100,42 +112,74 @@ mod tests {
 
     #[test]
     fn column_execution_equals_row_execution() {
+        // Every row of a columnar report equals the interpreter's per-row
+        // answer, whichever entry point built the column.
+        let (source, target) = source();
         let program = compiled();
         let rows = duplicate_heavy_rows(1_000);
         let column = Column::from_rows(rows.clone());
         assert!(column.distinct_count() < rows.len() / 10);
 
-        let by_rows = program.execute(&rows);
         let by_column = program.execute_column(&column);
-        assert!(by_column.is_columnar());
-        assert_eq!(
-            by_rows.iter_rows().collect::<Vec<_>>(),
-            by_column.iter_rows().collect::<Vec<_>>()
-        );
+        let by_rows = program.execute(&rows);
+        assert!(by_column.is_columnar() && by_rows.is_columnar());
+        assert_eq!(by_column.len(), rows.len());
+        for (i, (row, got)) in rows.iter().zip(by_column.iter_rows()).enumerate() {
+            assert_eq!(
+                got,
+                &RowOutcome::interpreted(&source, &target, row),
+                "row {i}"
+            );
+            assert_eq!(got, by_rows.row(i), "row {i}");
+        }
         assert_eq!(by_rows.stats, by_column.stats);
         // The columnar report stores only the distinct decisions.
         assert_eq!(by_column.outcomes().len(), column.distinct_count());
-        assert_eq!(by_rows.outcomes().len(), rows.len());
+        assert_eq!(by_rows.outcomes().len(), column.distinct_count());
+    }
+
+    #[test]
+    fn execute_rows_is_correct_and_ordered() {
+        let program = compiled();
+        for n in [0, 1, 2, 255, 256, 257, 999, 5_000] {
+            let rows = duplicate_heavy_rows(n);
+            let report = program.execute(&rows);
+            assert_eq!(report.len(), n, "size {n}");
+            assert_eq!(report.stats.rows(), n, "size {n}");
+            for (row, input) in report.iter_rows().zip(&rows) {
+                match input.chars().nth(3) {
+                    Some('.') => assert!(row.is_transformed(), "{input} -> {row:?}"),
+                    Some('-') => assert!(row.is_conforming(), "{input} -> {row:?}"),
+                    _ => assert!(row.is_flagged(), "{input} -> {row:?}"),
+                }
+                if !row.is_flagged() {
+                    assert!(program.target().matches(row.value()), "{row:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn empty_column_reports_empty() {
-        let report = compiled().execute_column(&Column::default());
-        assert!(report.is_empty());
-        assert_eq!(report.chunk_count, 0);
+        let program = compiled();
+        for report in [
+            program.execute_column(&Column::default()),
+            program.execute(&[]),
+        ] {
+            assert!(report.is_empty());
+            assert_eq!(report.chunk_count, 0);
+        }
     }
 
     #[test]
     fn column_dispatch_is_dense_only() {
-        // The column path must never touch the hashed (Pattern-keyed) tier
-        // of the dispatch cache: every plan is decided and replayed through
-        // the dense leaf-id index.
+        // Every plan is decided and replayed through the dense leaf-id
+        // index: one slot per distinct leaf of the column.
         let program = compiled();
         let column = Column::from_rows(duplicate_heavy_rows(500));
         let mut cache = DispatchCache::new();
         let report = program.execute_column_pooled(&column, &mut cache);
         assert_eq!(report.len(), 500);
-        assert_eq!(cache.len(), 0, "no Pattern was hashed on the column path");
         assert_eq!(cache.dense_len(), column.leaf_count());
         assert!(cache.dense_len() > 0);
 

@@ -298,7 +298,7 @@ impl CompiledProgram {
     /// patterns are checked per value exactly as in execution, and a
     /// fallback program ([`CompiledProgram::fused_fallback`]) walks the
     /// per-branch loop — the decision is identical either way, and
-    /// consistent with [`CompiledProgram::transform_one`]'s outcome.
+    /// consistent with the outcome execution gives the value.
     pub fn decide(&self, value: &str) -> Decision {
         self.decide_cached(&tokenize(value), value)
     }
@@ -358,35 +358,19 @@ impl CompiledProgram {
         self.target_transparent && self.branches.iter().all(|b| b.transparent)
     }
 
-    /// Transform a single row, consulting (and populating) `cache`.
-    pub fn transform_one(&self, cache: &mut DispatchCache, value: &str) -> RowOutcome {
-        let leaf = tokenize(value);
-        self.transform_one_cached(cache, value, &leaf)
-    }
-
-    /// [`CompiledProgram::transform_one`] for a value whose leaf pattern is
-    /// already known — e.g. the cached signature a `clx-column` `Column`
-    /// carries per distinct value — so the row is never re-tokenized. The
-    /// leaf is only cloned when a plan for it is decided for the first time.
-    ///
-    /// `leaf` must be exactly `tokenize(value)`; the leaf-signature
-    /// dispatch (see the `dispatch` module docs) is only sound for leaves
-    /// produced by the same tokenizer rules.
-    pub fn transform_one_cached(
-        &self,
-        cache: &mut DispatchCache,
-        value: &str,
-        leaf: &Pattern,
-    ) -> RowOutcome {
-        debug_assert_eq!(leaf, &tokenize(value), "leaf must be the value's own");
-        let plan = cache.plan_for(self.instance, leaf, |l| self.build_plan(l, value));
+    /// Transform one value with no dispatch cache: tokenize it, build its
+    /// leaf plan and replay that plan once. The cold path for callers that
+    /// hold neither a column nor an interner (re-deciding a report's
+    /// affected outcomes one distinct value at a time).
+    pub(crate) fn transform_uncached(&self, value: &str) -> RowOutcome {
+        let plan = self.build_plan(&tokenize(value), value);
         self.run_plan(&plan, value)
     }
 
-    /// [`CompiledProgram::transform_one_cached`] dispatching by the dense
-    /// integer `leaf_id` a [`clx_column::ColumnInterner`] assigned to
-    /// `leaf` — the cache lookup is an array index; no `Pattern` is hashed
-    /// or compared on the hit path.
+    /// Transform one value dispatching by the dense integer `leaf_id` a
+    /// [`clx_column::ColumnInterner`] assigned to `leaf` — the cache lookup
+    /// is an array index; no `Pattern` is hashed or compared on the hit
+    /// path.
     ///
     /// `source` names the id space `leaf_id` belongs to (the interner's
     /// instance id — [`clx_column::Column::interner_id`] for columns) and
@@ -396,34 +380,15 @@ impl CompiledProgram {
     /// resets its dense tier when handed ids from a different space *or* a
     /// different generation — a bounded interner recycles leaf-ids when it
     /// evicts — so a stale plan can never be replayed under an aliased id.
-    /// As with `transform_one_cached`, `leaf` must be exactly
-    /// `tokenize(value)`.
-    pub fn transform_one_by_leaf_id(
-        &self,
-        cache: &mut DispatchCache,
-        source: u64,
-        source_generation: u64,
-        leaf_id: u32,
-        value: &str,
-        leaf: &Pattern,
-    ) -> RowOutcome {
-        self.transform_one_by_leaf_id_observed(
-            cache,
-            source,
-            source_generation,
-            leaf_id,
-            value,
-            leaf,
-            None,
-        )
-    }
-
-    /// [`CompiledProgram::transform_one_by_leaf_id`] under an optional
-    /// telemetry sink: a first-sight decision times its fused classify as
-    /// `engine.fused.decide_ns`. With `None` (and on every plan replay)
-    /// no clock is read.
+    /// `leaf` must be exactly `tokenize(value)`: the leaf-signature
+    /// dispatch (see the `dispatch` module docs) is only sound for leaves
+    /// produced by the same tokenizer rules.
+    ///
+    /// Under a telemetry sink a first-sight decision times its fused
+    /// classify as `engine.fused.decide_ns`. With `None` (and on every plan
+    /// replay) no clock is read.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn transform_one_by_leaf_id_observed(
+    pub(crate) fn transform_one_by_leaf_id(
         &self,
         cache: &mut DispatchCache,
         source: u64,
@@ -710,6 +675,7 @@ fn apply_split(expr: &Expr, split: &SplitPlan, value: &str) -> String {
 mod tests {
     use super::*;
     use crate::fused::FUSED_MAX_WIDTH;
+    use clx_column::Column;
     use clx_pattern::{parse_pattern, Token};
     use clx_unifi::{transform, Branch};
 
@@ -750,7 +716,6 @@ mod tests {
     fn compiled_matches_sequential_transform() {
         let program = phone_program();
         let compiled = CompiledProgram::compile(&program, &phone_target()).unwrap();
-        let mut cache = DispatchCache::new();
         let inputs = [
             "734-422-8073",
             "(734)586-7252",
@@ -760,7 +725,7 @@ mod tests {
             "",
         ];
         for input in inputs {
-            let got = compiled.transform_one(&mut cache, input);
+            let got = compiled.transform_uncached(input);
             if phone_target().matches(input) {
                 assert!(got.is_conforming(), "{input:?} -> {got:?}");
             } else {
@@ -774,14 +739,18 @@ mod tests {
     #[test]
     fn dispatch_cache_replays_decisions() {
         let compiled = CompiledProgram::compile(&phone_program(), &phone_target()).unwrap();
+        let rows: Vec<String> = (0..50)
+            .map(|n| format!("{:03}-{:03}-{:04}", 100 + n, 200 + n, 3000 + n))
+            .collect();
         let mut cache = DispatchCache::new();
-        for n in 0..50 {
-            let row = format!("{:03}-{:03}-{:04}", 100 + n, 200 + n, 3000 + n);
-            let out = compiled.transform_one(&mut cache, &row);
-            assert!(out.is_transformed(), "{row} -> {out:?}");
+        let report = compiled.execute_column_pooled(&Column::from_rows(rows), &mut cache);
+        for out in report.iter_rows() {
+            assert!(out.is_transformed(), "{out:?}");
         }
-        // 50 rows, one leaf: one plan.
-        assert_eq!(cache.len(), 1);
+        // 50 distinct values, one leaf: one plan.
+        assert_eq!(cache.dense_len(), 1);
+        assert_eq!(cache.stats().dense_misses, 1);
+        assert_eq!(cache.stats().dense_hits, 49);
     }
 
     #[test]
@@ -795,16 +764,17 @@ mod tests {
         )]);
         let b = CompiledProgram::compile(&b_program, &tokenize("9999")).unwrap();
 
+        let column = Column::from_values(&["555-111-2222"]);
         let mut cache = DispatchCache::new();
         assert!(cache.is_empty());
-        let via_a = a.transform_one(&mut cache, "555-111-2222");
-        assert_eq!(via_a.value(), "(555) 111-2222");
-        // Same leaf, different program: the cache resets and re-decides.
-        let via_b = b.transform_one(&mut cache, "555-111-2222");
-        assert_eq!(via_b.value(), "2222");
+        let via_a = a.execute_column_pooled(&column, &mut cache);
+        assert_eq!(via_a.values(), vec!["(555) 111-2222"]);
+        // Same leaf-id, different program: the cache resets and re-decides.
+        let via_b = b.execute_column_pooled(&column, &mut cache);
+        assert_eq!(via_b.values(), vec!["2222"]);
         // And back again.
-        let via_a = a.transform_one(&mut cache, "555-111-2222");
-        assert_eq!(via_a.value(), "(555) 111-2222");
+        let via_a = a.execute_column_pooled(&column, &mut cache);
+        assert_eq!(via_a.values(), vec!["(555) 111-2222"]);
     }
 
     #[test]
@@ -887,22 +857,22 @@ mod tests {
         )]);
         let compiled = CompiledProgram::compile(&program, &tokenize("[111]")).unwrap();
         let mut cache = DispatchCache::new();
-        let cpt = compiled.transform_one(&mut cache, "CPT123");
+        let report =
+            compiled.execute_column_pooled(&Column::from_values(&["CPT123", "XYZ123"]), &mut cache);
         assert_eq!(
-            cpt,
-            RowOutcome::Transformed {
+            report.row(0),
+            &RowOutcome::Transformed {
                 from: "CPT123".into(),
                 to: "[123]".into(),
             }
         );
-        let xyz = compiled.transform_one(&mut cache, "XYZ123");
         assert_eq!(
-            xyz,
-            RowOutcome::Flagged {
+            report.row(1),
+            &RowOutcome::Flagged {
                 value: "XYZ123".into(),
             }
         );
-        assert_eq!(cache.len(), 1, "one shared leaf, decided per row");
+        assert_eq!(cache.dense_len(), 1, "one shared leaf, decided per value");
     }
 
     #[test]
@@ -912,9 +882,9 @@ mod tests {
         let target = Pattern::new(vec![Token::literal("N/A")]);
         let compiled = CompiledProgram::compile(&Program::empty(), &target).unwrap();
         assert!(!compiled.is_fully_transparent());
-        let mut cache = DispatchCache::new();
-        assert!(compiled.transform_one(&mut cache, "N/A").is_conforming());
-        assert!(compiled.transform_one(&mut cache, "X/Y").is_flagged());
+        let report = compiled.execute_column(&Column::from_values(&["N/A", "X/Y"]));
+        assert!(report.row(0).is_conforming());
+        assert!(report.row(1).is_flagged());
     }
 
     #[test]
@@ -927,11 +897,10 @@ mod tests {
             Expr::concat(vec![StringExpr::extract(2), StringExpr::const_str("!")]),
         )]);
         let compiled = CompiledProgram::compile(&program, &tokenize("9!")).unwrap();
-        let mut cache = DispatchCache::new();
-        let out = compiled.transform_one(&mut cache, "é42");
-        assert_eq!(out.value(), "42!");
-        let again = compiled.transform_one(&mut cache, "é77");
-        assert_eq!(again.value(), "77!");
+        assert_eq!(compiled.transform_uncached("é42").value(), "42!");
+        // The second value replays the first one's plan (same leaf).
+        let report = compiled.execute_column(&Column::from_values(&["é42", "é77"]));
+        assert_eq!(report.values(), vec!["42!", "77!"]);
     }
 
     #[test]
@@ -960,15 +929,12 @@ mod tests {
             CompiledProgram::compile(&program, &parse_pattern("'['<U>+'-'<D>+']'").unwrap())
                 .unwrap();
         assert!(compiled.is_fully_transparent());
-        let mut cache = DispatchCache::new();
         assert_eq!(
-            compiled.transform_one(&mut cache, "CPT-00350").value(),
+            compiled.transform_uncached("CPT-00350").value(),
             "[CPT-00350]"
         );
-        assert_eq!(compiled.transform_one(&mut cache, "AB-1").value(), "[AB-1]");
-        assert!(compiled
-            .transform_one(&mut cache, "[CPT-00350]")
-            .is_conforming());
+        assert_eq!(compiled.transform_uncached("AB-1").value(), "[AB-1]");
+        assert!(compiled.transform_uncached("[CPT-00350]").is_conforming());
     }
 
     #[test]
@@ -1027,8 +993,7 @@ mod tests {
         ));
         // The fallback path still transforms correctly.
         let row = "7".repeat(300);
-        let mut cache = DispatchCache::new();
-        assert_eq!(compiled.transform_one(&mut cache, &row).value(), row);
+        assert_eq!(compiled.transform_uncached(&row).value(), row);
         assert_eq!(compiled.decide(&row), Decision::Branch(0));
         let stats = compiled.fused_stats();
         assert_eq!(stats.fused_decisions, 0);
@@ -1052,12 +1017,13 @@ mod tests {
     #[test]
     fn fused_stats_tally_cold_decisions() {
         let compiled = CompiledProgram::compile(&phone_program(), &phone_target()).unwrap();
-        let mut cache = DispatchCache::new();
-        // Two distinct leaves, three rows: only first sight of each leaf
+        // Two distinct leaves, three values: only first sight of each leaf
         // builds a plan, and the phone program's leaves are all fusable.
-        for row in ["734-422-8073", "555-111-2222", "(734)586-7252"] {
-            compiled.transform_one(&mut cache, row);
-        }
+        compiled.execute_column(&Column::from_values(&[
+            "734-422-8073",
+            "555-111-2222",
+            "(734)586-7252",
+        ]));
         let stats = compiled.fused_stats();
         assert_eq!(stats.fused_decisions, 2);
         assert_eq!(stats.pike_vm_decisions, 0);
@@ -1065,8 +1031,7 @@ mod tests {
         let plain = CompiledProgram::compile(&phone_program(), &phone_target())
             .unwrap()
             .without_fused();
-        let mut cache = DispatchCache::new();
-        plain.transform_one(&mut cache, "734-422-8073");
+        plain.transform_uncached("734-422-8073");
         let stats = plain.fused_stats();
         assert_eq!(stats.fused_decisions, 0);
         assert_eq!(stats.pike_vm_decisions, 1);
@@ -1078,21 +1043,17 @@ mod tests {
         let split = CompiledProgram::compile(&phone_program(), &phone_target())
             .unwrap()
             .without_derived_splits();
-        let mut derived_cache = DispatchCache::new();
-        let mut split_cache = DispatchCache::new();
-        let rows = [
+        let column = Column::from_values(&[
             "734-422-8073",
             "555-111-2222",
             "(734)586-7252",
             "(734) 645-8397",
             "N/A",
-        ];
-        for row in rows {
-            assert_eq!(
-                derived.transform_one(&mut derived_cache, row),
-                split.transform_one(&mut split_cache, row),
-                "derived and split boundaries must agree on {row:?}"
-            );
+        ]);
+        let by_derived = derived.execute_column(&column);
+        let by_split = split.execute_column(&column);
+        for (row, (d, s)) in by_derived.iter_rows().zip(by_split.iter_rows()).enumerate() {
+            assert_eq!(d, s, "derived and split boundaries must agree on row {row}");
         }
         // Three distinct branch-winning leaves were decided once each
         // ("734-..." and "555-..." share one); the conforming and flagged

@@ -1,12 +1,12 @@
 //! # clx-engine
 //!
-//! A compiled, parallel batch-transformation subsystem for CLX.
+//! A compiled, interned batch-transformation subsystem for CLX.
 //!
 //! The interactive `ClxSession` (in `clx-core`) drives the paper's
 //! Cluster–Label–Transform loop and re-interprets the synthesized UniFi
-//! program on every row — the right trade-off for a user study, the wrong
-//! one for serving large columns. This crate is the execution layer that
-//! consumes the session's output:
+//! program on every distinct value — the right trade-off for a user study,
+//! the wrong one for serving large columns. This crate is the execution
+//! layer that consumes the session's output:
 //!
 //! * [`CompiledProgram::compile`] turns a UniFi [`Program`](clx_unifi::Program)
 //!   plus its labelled target pattern into an immutable, `Send + Sync`
@@ -14,10 +14,13 @@
 //!   pattern gets a pre-built Pike-VM regex program (`clx-regex`), and a
 //!   transparency analysis marks the patterns whose match relation is a
 //!   function of a row's token-class signature;
-//! * execution dispatches rows by that signature — each distinct leaf
-//!   pattern is decided once (which branch fires and where its tokens sit)
-//!   and every further row with the same signature is rewritten with a few
-//!   slice copies, skipping full pattern matching entirely;
+//! * execution runs on one interned path: rows are interned into a
+//!   `clx-column` id space, each distinct value is decided once, and
+//!   dispatch is by the integer leaf-id of its token-class signature — each
+//!   distinct leaf pattern is decided once (which branch fires and where
+//!   its tokens sit) and every further value with the same leaf is
+//!   rewritten with a few slice copies, skipping full pattern matching
+//!   entirely;
 //! * first-sight decisions themselves are fused: compilation builds one
 //!   bit-parallel decision automaton over the target plus every
 //!   transparent branch pattern (see the `fused` module), so classifying a
@@ -26,21 +29,18 @@
 //!   fallback ([`CompiledProgram::fused_fallback`]) when a program cannot
 //!   be encoded, and [`CompiledProgram::decide`] exposing the decision
 //!   directly;
-//! * [`CompiledProgram::execute`] runs whole columns in parallel chunks
-//!   over `std::thread::scope` workers, merging per-chunk
-//!   [`ChunkReport`]s into an order-preserving [`BatchReport`];
-//! * [`CompiledProgram::stream`] (then [`StreamSession::push_chunk`] /
-//!   [`StreamSession::finish`]) processes columns larger than memory,
-//!   retaining only O(1) counters; [`ColumnStream`] (and
-//!   [`StreamSession::push_column_chunk`]) is the columnar ingest variant —
-//!   chunks are interned through a persistent
-//!   [`ColumnInterner`](clx_column::ColumnInterner), so a distinct value is
-//!   tokenized and decided once per *stream* and dispatch is an integer
-//!   leaf-id array index;
 //! * [`CompiledProgram::execute_column`] executes a `clx-column`
 //!   [`Column`](clx_column::Column) by deciding each *distinct* value once
 //!   through its cached leaf signature — no row of a session column is
-//!   ever tokenized twice;
+//!   ever tokenized twice — and returns a columnar [`BatchReport`];
+//!   [`CompiledProgram::execute`] is its raw-rows adapter, interning the
+//!   rows through the sharded [`ColumnBuilder`](clx_column::ColumnBuilder)
+//!   first;
+//! * [`ColumnStream`] processes columns larger than memory: each pushed
+//!   chunk is interned through a persistent
+//!   [`ColumnInterner`](clx_column::ColumnInterner), so a distinct value is
+//!   tokenized and decided once per *stream*, with the retained state
+//!   optionally bounded by a [`StreamBudget`](clx_column::StreamBudget);
 //! * [`ProgramCache`] is a bounded, thread-safe LRU of compiled programs
 //!   keyed by the structural fingerprint of `(program, target)`.
 //!
@@ -88,7 +88,6 @@ mod delta;
 mod dispatch;
 mod error;
 mod fused;
-mod parallel;
 mod report;
 mod stream;
 
@@ -98,6 +97,5 @@ pub use delta::ProgramDelta;
 pub use dispatch::{DispatchCache, DispatchStats};
 pub use error::CompileError;
 pub use fused::{FusedFallback, FUSED_MAX_WIDTH};
-pub use parallel::ExecOptions;
 pub use report::{BatchReport, ChunkReport, ChunkStats, PatchStats, RowOutcome, RowOutcomes};
-pub use stream::{ColumnStream, StreamSession, StreamSummary, SwapSummary};
+pub use stream::{ColumnStream, StreamSummary, SwapSummary};

@@ -1,18 +1,18 @@
 //! Mergeable, columnar execution reports.
 //!
-//! The parallel executor produces one [`ChunkReport`] per chunk; chunk
-//! reports merge (in chunk order) into a column-level [`BatchReport`]. Both
-//! carry [`ChunkStats`], a small commutative summary that also powers the
-//! streaming API, where whole-column row storage is exactly what must be
-//! avoided.
+//! The streaming API returns one [`ChunkReport`] per pushed chunk, and the
+//! batch entry points return a column-level [`BatchReport`]. Both carry
+//! [`ChunkStats`], a small commutative summary that lets a stream keep
+//! running totals without retaining any row.
 //!
 //! A [`BatchReport`] stores its outcomes *columnar*: a list of stored
-//! [`RowOutcome`]s plus a row→outcome map. The chunked path stores one
-//! outcome per row (an identity map, costing nothing extra); the column
-//! path ([`crate::CompiledProgram::execute_column`]) stores one outcome per
+//! [`RowOutcome`]s plus a row→outcome map. The executor
+//! ([`crate::CompiledProgram::execute_column`]) stores one outcome per
 //! **distinct** value and shares the column's row map by reference count,
 //! so a duplicate-heavy report costs O(distinct) — no outcome is ever
-//! cloned per duplicate row. Row-oriented access ([`BatchReport::iter_rows`],
+//! cloned per duplicate row. Reports assembled from per-row outcomes
+//! ([`BatchReport::from_chunks`]) use an identity map instead, costing
+//! nothing extra. Row-oriented access ([`BatchReport::iter_rows`],
 //! [`BatchReport::row`], [`BatchReport::values`]) is identical for both
 //! representations.
 
@@ -21,6 +21,7 @@ use std::sync::Arc;
 use clx_column::Column;
 use clx_pattern::Pattern;
 use clx_telemetry::MetricSink;
+use clx_unifi::{transform_lenient, Program, TransformOutcome};
 
 use crate::compiled::CompiledProgram;
 use crate::delta::ProgramDelta;
@@ -91,6 +92,26 @@ impl RowOutcome {
     pub fn is_conforming(&self) -> bool {
         matches!(self, RowOutcome::Conforming { .. })
     }
+
+    /// The outcome the UniFi interpreter gives `value` under `program`
+    /// labelled to `target` — the executable specification every compiled
+    /// path is tested against: conforming when the value already matches
+    /// the target, otherwise the first branch that evaluates
+    /// ([`clx_unifi::transform_lenient`]), otherwise flagged.
+    pub fn interpreted(program: &Program, target: &Pattern, value: &str) -> RowOutcome {
+        if target.matches(value) {
+            return RowOutcome::Conforming {
+                value: value.to_string(),
+            };
+        }
+        match transform_lenient(program, value) {
+            TransformOutcome::Transformed(to) => RowOutcome::Transformed {
+                from: value.to_string(),
+                to,
+            },
+            TransformOutcome::Flagged(value) => RowOutcome::Flagged { value },
+        }
+    }
 }
 
 /// Commutative per-chunk counters; merging chunks sums them.
@@ -146,11 +167,11 @@ impl ChunkStats {
 
 /// The outcome of executing a compiled program over one chunk of rows.
 ///
-/// Like [`BatchReport`], a chunk report stores its outcomes *columnar*: the
-/// per-row paths store one outcome per row (an identity map), while the
-/// column-chunk path ([`crate::StreamSession::push_column_chunk`]) stores
-/// one outcome per distinct value appearing in the chunk plus the chunk's
-/// row→distinct map — O(distinct-in-chunk), no per-duplicate clones.
+/// Like [`BatchReport`], a chunk report stores its outcomes *columnar*: a
+/// stream ([`crate::ColumnStream::push_rows`]) stores one outcome per
+/// distinct value appearing in the chunk plus the chunk's row→distinct map
+/// — O(distinct-in-chunk), no per-duplicate clones — while
+/// [`ChunkReport::new`] stores one outcome per row (an identity map).
 /// Row-oriented access ([`ChunkReport::iter_rows`], [`ChunkReport::row`],
 /// [`ChunkReport::into_row_outcomes`]) is identical for both.
 #[derive(Debug, Clone)]
@@ -173,21 +194,6 @@ impl ChunkReport {
         for row in &rows {
             stats.record(row);
         }
-        ChunkReport {
-            index,
-            outcomes: rows,
-            map: None,
-            stats,
-        }
-    }
-
-    /// Reassemble a per-row report whose counters are already known (the
-    /// streaming `&[String]` path re-wraps a merged batch).
-    pub(crate) fn from_rows_with_stats(
-        index: usize,
-        rows: Vec<RowOutcome>,
-        stats: ChunkStats,
-    ) -> Self {
         ChunkReport {
             index,
             outcomes: rows,
@@ -294,7 +300,7 @@ impl ChunkReport {
 /// The row→outcome map of a [`BatchReport`].
 #[derive(Debug, Clone)]
 enum RowMap {
-    /// Stored outcome `i` *is* row `i` (the chunked per-row paths).
+    /// Stored outcome `i` *is* row `i` (reports merged from per-row chunks).
     Identity,
     /// Row `r` holds stored outcome `map[r]` (the columnar path); the map
     /// is the column's own row→distinct map, shared by reference count.
@@ -303,11 +309,12 @@ enum RowMap {
 
 /// A column-level report: every row's outcome, stored columnar.
 ///
-/// Reports from the chunked paths ([`crate::CompiledProgram::execute`],
-/// [`BatchReport::from_chunks`]) store one outcome per row. Reports from
-/// [`crate::CompiledProgram::execute_column`] store one outcome per
+/// Reports from the executor ([`crate::CompiledProgram::execute`],
+/// [`crate::CompiledProgram::execute_column`]) store one outcome per
 /// *distinct* value plus the column's shared row map — O(distinct) space,
-/// no per-duplicate clones. Both answer row-oriented queries identically.
+/// no per-duplicate clones. Reports merged from per-row chunks
+/// ([`BatchReport::from_chunks`]) store one outcome per row. Both answer
+/// row-oriented queries identically.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// The target pattern the program was compiled against.
@@ -444,8 +451,8 @@ impl BatchReport {
     /// patch's per-value tokenization: the affected-screen memoizes by
     /// dense leaf-id (one fused classification per distinct *leaf*, an
     /// integer map lookup per distinct value) and each re-decide
-    /// dispatches through [`CompiledProgram::transform_one_by_leaf_id`]
-    /// without re-tokenizing the input. Falls back to the self-contained
+    /// dispatches through the dense leaf-id tier without re-tokenizing the
+    /// input. Falls back to the self-contained
     /// [`BatchReport::patch_observed`] when `column` is not the report's
     /// own (different row map or distinct count) — answers are identical
     /// either way.
@@ -535,16 +542,17 @@ impl BatchReport {
                             distinct.leaf_id(),
                             distinct.text(),
                             distinct.leaf(),
+                            None,
                         )
                     }
                     None => {
                         let input = match &*outcome {
                             RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => {
-                                value.clone()
+                                value.as_str()
                             }
-                            RowOutcome::Transformed { from, .. } => from.clone(),
+                            RowOutcome::Transformed { from, .. } => from.as_str(),
                         };
-                        new_program.transform_one(&mut cache, &input)
+                        new_program.transform_uncached(input)
                     }
                 };
                 if redecided != *outcome {
@@ -911,12 +919,7 @@ mod tests {
         }
 
         fn full_recompute(program: &CompiledProgram, column: &Column) -> BatchReport {
-            let mut cache = crate::DispatchCache::new();
-            let outcomes: Vec<RowOutcome> = column
-                .distinct_values()
-                .map(|v| program.transform_one(&mut cache, v.text()))
-                .collect();
-            BatchReport::columnar(program.target().clone(), outcomes, column)
+            program.execute_column(column)
         }
 
         #[test]

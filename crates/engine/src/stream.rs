@@ -1,23 +1,16 @@
 //! Streaming execution for columns larger than memory.
 //!
-//! Two ingest paths share the machinery here:
+//! [`ColumnStream`] takes raw string chunks and interns each one through a
+//! persistent [`ColumnInterner`], so streaming inherits the whole
+//! O(distinct) column path: a distinct value is tokenized once per
+//! *stream* (by the interner), decided once per stream (the stream caches
+//! the outcome per distinct-id), and dispatched by integer leaf-id (a dense
+//! array index — no `Pattern` hashing).
 //!
-//! * [`StreamSession::push_chunk`] takes `&[String]`, re-tokenizing every
-//!   row to dispatch it — the zero-setup path for callers that only hold
-//!   raw strings;
-//! * [`StreamSession::push_column_chunk`] takes a
-//!   [`ColumnChunk`](clx_column::ColumnChunk) interned through a persistent
-//!   [`ColumnInterner`](clx_column::ColumnInterner), so streaming inherits
-//!   the whole O(distinct) column path: a distinct value is tokenized once
-//!   per *stream* (by the interner), decided once per stream (the session
-//!   caches the outcome per distinct-id), and dispatched by integer leaf-id
-//!   (a dense array index — no `Pattern` hashing). [`ColumnStream`] bundles
-//!   the interner and a session into one owning handle.
-//!
-//! Either way each pushed chunk is transformed and *returned* to the caller
-//! — to be written to a sink immediately — while the session retains only
-//! mergeable counters plus (on the column path) the O(distinct) per-id
-//! decision cache.
+//! Each pushed chunk is transformed and *returned* to the caller — to be
+//! written to a sink immediately — while the stream retains only mergeable
+//! counters plus the O(distinct) interner and per-id decision cache, both
+//! bounded by an optional [`StreamBudget`].
 
 use std::mem::size_of;
 use std::sync::Arc;
@@ -29,8 +22,7 @@ use clx_telemetry::MetricSink;
 
 use crate::compiled::CompiledProgram;
 use crate::delta::ProgramDelta;
-use crate::dispatch::DispatchCache;
-use crate::parallel::ExecOptions;
+use crate::dispatch::{DispatchCache, DispatchStats};
 use crate::report::{ChunkReport, ChunkStats, RowOutcome};
 
 /// Estimated heap bytes retained by one stored outcome.
@@ -156,7 +148,7 @@ impl DistinctDecisions {
     /// Execute one interned chunk, reusing stored decisions for already-seen
     /// distinct-ids and recording new ones. `telemetry` (if any) times each
     /// first-sight fused classification as `engine.fused.decide_ns`.
-    fn execute_chunk(
+    fn decide_chunk(
         &mut self,
         program: &CompiledProgram,
         cache: &mut DispatchCache,
@@ -190,7 +182,7 @@ impl DistinctDecisions {
                     }
                 }
                 self.misses += 1;
-                let outcome = program.transform_one_by_leaf_id_observed(
+                let outcome = program.transform_one_by_leaf_id(
                     cache,
                     interner.instance(),
                     interner.generation(),
@@ -211,150 +203,6 @@ impl DistinctDecisions {
             })
             .collect();
         ChunkReport::columnar(index, outcomes, chunk.row_map().to_vec())
-    }
-}
-
-/// An in-progress streaming run over one compiled program.
-///
-/// The session owns its workers' dispatch caches and its per-distinct-id
-/// decision cache, so leaf decisions *and* per-value outcomes made in one
-/// pushed chunk are reused by every later chunk of the stream.
-pub struct StreamSession<'p> {
-    program: &'p CompiledProgram,
-    options: ExecOptions,
-    caches: Vec<DispatchCache>,
-    decisions: DistinctDecisions,
-    stats: ChunkStats,
-    chunks: usize,
-    /// Eviction count reported by the last pushed chunk's interner (the
-    /// session does not own the interner; the caller does).
-    evictions: u64,
-    /// Peak of `decisions.memory_used()` + the pushed interners'
-    /// `memory_used()` across the stream.
-    peak_memory: usize,
-}
-
-impl CompiledProgram {
-    /// Start a streaming run with default execution options.
-    pub fn stream(&self) -> StreamSession<'_> {
-        self.stream_with(ExecOptions::default())
-    }
-
-    /// Start a streaming run with explicit execution options.
-    pub fn stream_with(&self, options: ExecOptions) -> StreamSession<'_> {
-        StreamSession {
-            program: self,
-            options,
-            caches: Vec::new(),
-            decisions: DistinctDecisions::default(),
-            stats: ChunkStats::default(),
-            chunks: 0,
-            evictions: 0,
-            peak_memory: 0,
-        }
-    }
-}
-
-impl StreamSession<'_> {
-    /// Transform the next chunk of the column and hand its rows back to the
-    /// caller. Only the counters are retained by the session.
-    ///
-    /// Every row is re-tokenized to dispatch it; callers that can intern
-    /// their chunks through a persistent
-    /// [`ColumnInterner`](clx_column::ColumnInterner) should push
-    /// [`StreamSession::push_column_chunk`] (or use [`ColumnStream`])
-    /// instead and skip that work entirely.
-    pub fn push_chunk(&mut self, rows: &[String]) -> ChunkReport {
-        let batch = self
-            .program
-            .execute_pooled(rows, self.options, &mut self.caches);
-        let stats = batch.stats;
-        let report =
-            ChunkReport::from_rows_with_stats(self.chunks, batch.into_row_outcomes(), stats);
-        self.stats.absorb(&report.stats);
-        self.chunks += 1;
-        report
-    }
-
-    /// Transform the next chunk of an *interned* stream: each distinct-id
-    /// appearing in the chunk is decided at most once per stream (cached
-    /// outcomes replay for ids seen in earlier chunks), dispatch runs on
-    /// the dense leaf-id tier of the [`DispatchCache`], and the returned
-    /// [`ChunkReport`] is columnar — one stored outcome per distinct value
-    /// in the chunk, sharing the chunk's row map shape.
-    ///
-    /// The rows the report describes are exactly what
-    /// [`StreamSession::push_chunk`] would produce for the same text; the
-    /// session's counters absorb the chunk either way.
-    ///
-    /// Chunks from a bounded ([`BudgetPolicy::Evict`](clx_column::BudgetPolicy))
-    /// interner are fully supported: the per-id decision cache validates
-    /// every replay against the id's slot generation and prunes decisions
-    /// for evicted values, so the session's retained state tracks the
-    /// interner's live set instead of growing without bound. Note the
-    /// session only follows the interner it is handed — under a
-    /// [`Fallback`](clx_column::BudgetPolicy::Fallback) budget the
-    /// *caller* owns the interner and must watch
-    /// [`over_budget`](clx_column::ColumnInterner::over_budget) and stop
-    /// pushing interned chunks itself (or use [`ColumnStream`], which
-    /// does).
-    pub fn push_column_chunk(&mut self, chunk: &ColumnChunk<'_>) -> ChunkReport {
-        if self.caches.is_empty() {
-            self.caches.push(DispatchCache::new());
-        }
-        let report = self.decisions.execute_chunk(
-            self.program,
-            &mut self.caches[0],
-            chunk,
-            self.chunks,
-            None,
-        );
-        self.stats.absorb(&report.stats);
-        self.chunks += 1;
-        self.evictions = chunk.interner().evictions();
-        self.peak_memory = self
-            .peak_memory
-            .max(self.decisions.memory_used() + chunk.interner().memory_used());
-        report
-    }
-
-    /// Distinct values decided so far on the column path (the size of the
-    /// per-stream outcome cache; `0` for pure `&[String]` streams).
-    pub fn distinct_decided(&self) -> usize {
-        self.decisions.len()
-    }
-
-    /// Estimated heap bytes retained by the session's per-distinct-id
-    /// decision cache (`0` for pure `&[String]` streams). The interner's
-    /// own footprint is its owner's to report
-    /// ([`clx_column::ColumnInterner::memory_used`]); [`ColumnStream`]
-    /// owns both and sums them.
-    pub fn memory_used(&self) -> usize {
-        self.decisions.memory_used()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &ChunkStats {
-        &self.stats
-    }
-
-    /// Chunks pushed so far.
-    pub fn chunks_pushed(&self) -> usize {
-        self.chunks
-    }
-
-    /// Finish the run, returning the whole-stream summary.
-    pub fn finish(self) -> StreamSummary {
-        StreamSummary {
-            target: self.program.target().clone(),
-            chunks: self.chunks,
-            stats: self.stats,
-            evictions: self.evictions,
-            peak_memory_bytes: self.peak_memory,
-            degraded: false,
-            decision_cache_hits: self.decisions.hits,
-            decision_cache_misses: self.decisions.misses,
-        }
     }
 }
 
@@ -401,9 +249,11 @@ impl StreamSession<'_> {
 ///   if they reappear, so outcomes are row-for-row identical to the
 ///   unbounded stream, at bounded memory;
 /// * under [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy::Fallback),
-///   the stream stops interning once over budget and degrades to the
-///   per-row `&[String]` path — same outcomes, per-row reports, frozen
-///   interner.
+///   the stream stops interning once over budget: its own interner
+///   freezes, and each later chunk is interned through a throwaway
+///   interner scoped to that one push — same outcomes, still columnar
+///   reports, and the decision cache holds at most one chunk's distinct
+///   values, so retained memory stops growing.
 ///
 /// [`ColumnStream::memory_used`], [`ColumnStream::evictions`] and
 /// [`ColumnStream::is_degraded`] expose the bounded-stream state; the
@@ -416,7 +266,7 @@ pub struct ColumnStream {
     stats: ChunkStats,
     chunks: usize,
     /// `true` once a `Fallback`-policy stream exceeded its budget and
-    /// switched to the per-row path.
+    /// switched to chunk-scoped interning.
     degraded: bool,
     /// Peak of [`ColumnStream::memory_used`] across the stream.
     peak_memory: usize,
@@ -425,7 +275,7 @@ pub struct ColumnStream {
     /// `Option` branch.
     telemetry: Option<Arc<dyn MetricSink>>,
     /// Dispatch-tier tallies already published to the sink (delta basis).
-    published_dispatch: crate::dispatch::DispatchStats,
+    published_dispatch: DispatchStats,
     /// Decision-cache tallies already published to the sink (delta basis).
     published_decisions: (u64, u64),
     /// Fused cold-path tallies already published to the sink (delta
@@ -458,7 +308,7 @@ impl ColumnStream {
             degraded: false,
             peak_memory: 0,
             telemetry: None,
-            published_dispatch: crate::dispatch::DispatchStats::default(),
+            published_dispatch: DispatchStats::default(),
             published_decisions: (0, 0),
             published_fused,
         }
@@ -492,8 +342,8 @@ impl ColumnStream {
         &self.interner
     }
 
-    /// The stream's dispatch cache (exposes the dense leaf-id tier via
-    /// [`DispatchCache::dense_len`]).
+    /// The stream's dispatch cache (its decided leaf-id plans are counted
+    /// by [`DispatchCache::dense_len`]).
     pub fn dispatch_cache(&self) -> &DispatchCache {
         &self.cache
     }
@@ -509,11 +359,12 @@ impl ColumnStream {
     ///   (through the new program, via the usual generation machinery) on
     ///   the next chunk that contains them; everything else keeps
     ///   replaying its stored outcome.
-    /// * **dispatch plans** — the dense leaf-id tier re-binds to the new
+    /// * **dispatch plans** — the leaf-id plans re-bind to the new
     ///   program *without a full reset*: plans for leaf-ids the delta
     ///   proves unaffected are retained as-is (see "Rebinding without a
     ///   reset" in the `dispatch` module docs); affected ones rebuild on
-    ///   next sight. The hashed tier is filtered the same way.
+    ///   next sight. A degraded stream's plans belong to a dropped
+    ///   chunk-scoped interner, so they are all dropped.
     /// * **fused automaton** — the new program already carries its own,
     ///   built once at compile time; first-sight decisions after the swap
     ///   classify through it with no per-distinct rebuild cost. The
@@ -536,15 +387,15 @@ impl ColumnStream {
             ProgramDelta::between_observed(&self.program, &new_program, self.telemetry.as_ref());
         let distincts_invalidated = self.decisions.retain_unaffected(&delta);
         let interner = &self.interner;
-        let (dense_plans_retained, dense_plans_dropped) = self.cache.rebind_retaining(
-            new_program.instance(),
-            |leaf| !delta.affects_leaf(leaf),
-            |leaf_id| {
-                interner
-                    .leaf_pattern(leaf_id)
-                    .is_some_and(|leaf| !delta.affects_leaf(leaf))
-            },
-        );
+        let degraded = self.degraded;
+        let (dense_plans_retained, dense_plans_dropped) =
+            self.cache
+                .rebind_retaining(new_program.instance(), |leaf_id| {
+                    !degraded
+                        && interner
+                            .leaf_pattern(leaf_id)
+                            .is_some_and(|leaf| !delta.affects_leaf(leaf))
+                });
         if let Some(sink) = &self.telemetry {
             sink.counter(
                 "engine.delta.distincts_redecided",
@@ -570,18 +421,26 @@ impl ColumnStream {
     /// re-tokenized nor re-transformed.
     ///
     /// On a budgeted stream the interner enforces the budget at this chunk
-    /// boundary first (under `Evict`), or the stream degrades to the
-    /// per-row path once over budget (under `Fallback`); either way the
-    /// report's rows are exactly the unbounded stream's.
+    /// boundary first (under `Evict`). Once a `Fallback` stream is over
+    /// budget, the chunk is interned through a throwaway interner instead,
+    /// which is dropped when the push returns; the decision cache then
+    /// resets per chunk (a new id space), so the stream's retained state
+    /// stops growing. Either way the report's rows are exactly the
+    /// unbounded stream's.
     pub fn push_rows<S: AsRef<str>>(&mut self, rows: &[S]) -> ChunkReport {
-        if self.degraded {
-            return self.push_rows_degraded(rows);
-        }
         // The only disabled-path cost of telemetry: this `is_some()`.
         let start = self.telemetry.is_some().then(Instant::now);
-        // chunk() runs enforce_budget() before interning a single row.
-        let chunk = self.interner.chunk(rows);
-        let report = self.decisions.execute_chunk(
+        // chunk() runs enforce_budget() before interning a single row. A
+        // degraded stream interns into `scoped` instead, which this push
+        // drops: its own interner stays frozen.
+        let mut scoped;
+        let chunk = if self.degraded {
+            scoped = ColumnInterner::new();
+            scoped.chunk(rows)
+        } else {
+            self.interner.chunk(rows)
+        };
+        let report = self.decisions.decide_chunk(
             &self.program,
             &mut self.cache,
             &chunk,
@@ -596,25 +455,6 @@ impl ColumnStream {
         {
             self.degraded = true;
         }
-        self.peak_memory = self.peak_memory.max(self.memory_used());
-        self.publish_chunk_metrics(rows.len(), start);
-        report
-    }
-
-    /// The per-row path a `Fallback`-policy stream degrades to: nothing new
-    /// is interned or cached per distinct value, so retained memory stops
-    /// growing. Outcomes are identical ([`CompiledProgram::transform_one`]
-    /// is the same pure function of the row text); the report is per-row
-    /// rather than columnar.
-    fn push_rows_degraded<S: AsRef<str>>(&mut self, rows: &[S]) -> ChunkReport {
-        let start = self.telemetry.is_some().then(Instant::now);
-        let outcomes: Vec<RowOutcome> = rows
-            .iter()
-            .map(|row| self.program.transform_one(&mut self.cache, row.as_ref()))
-            .collect();
-        let report = ChunkReport::new(self.chunks, outcomes);
-        self.stats.absorb(&report.stats);
-        self.chunks += 1;
         self.peak_memory = self.peak_memory.max(self.memory_used());
         self.publish_chunk_metrics(rows.len(), start);
         report
@@ -656,14 +496,6 @@ impl ColumnStream {
         sink.counter(
             "engine.dispatch.dense_misses",
             dispatch.dense_misses - prev.dense_misses,
-        );
-        sink.counter(
-            "engine.dispatch.hashed_hits",
-            dispatch.hashed_hits - prev.hashed_hits,
-        );
-        sink.counter(
-            "engine.dispatch.hashed_misses",
-            dispatch.hashed_misses - prev.hashed_misses,
         );
         self.published_dispatch = dispatch;
 
@@ -717,7 +549,8 @@ impl ColumnStream {
     }
 
     /// `true` once a [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy)
-    /// stream has exceeded its budget and switched to the per-row path.
+    /// stream has exceeded its budget and switched to chunk-scoped
+    /// interning (its own interner frozen).
     pub fn is_degraded(&self) -> bool {
         self.degraded
     }
@@ -776,23 +609,22 @@ pub struct StreamSummary {
     /// Counters over every row pushed.
     pub stats: ChunkStats,
     /// Distinct values evicted under the stream's [`StreamBudget`] (`0`
-    /// for unbounded streams; for a [`StreamSession`], the owning
-    /// interner's count as of the last pushed chunk).
+    /// for unbounded and `Fallback` streams).
     pub evictions: u64,
     /// Peak estimated bytes retained by the stream's O(distinct) state
     /// (interner + decision cache) across the run.
     pub peak_memory_bytes: usize,
     /// `true` if a `Fallback`-policy stream exceeded its budget and
-    /// finished on the per-row path.
+    /// finished on chunk-scoped interning.
     pub degraded: bool,
-    /// Column-path decisions replayed from the per-distinct cache (`0`
-    /// for pure `&[String]` streams). A repeated value costs a replay,
-    /// not a transform — this over
+    /// Decisions replayed from the per-distinct cache. A repeated value
+    /// costs a replay, not a transform — this over
     /// [`decision_cache_misses`](StreamSummary::decision_cache_misses)
     /// is the stream's headline reuse ratio.
     pub decision_cache_hits: u64,
-    /// Column-path decisions that had to run the program (first sight of
-    /// a distinct value, or re-decision after its slot was evicted).
+    /// Decisions that had to run the program (first sight of a distinct
+    /// value, re-decision after its slot was evicted, or a value of a
+    /// degraded stream's chunk).
     pub decision_cache_misses: u64,
 }
 
@@ -802,8 +634,8 @@ impl StreamSummary {
         self.stats.rows()
     }
 
-    /// Fraction of column-path decisions served from the per-distinct
-    /// cache, in `[0, 1]`; 0 before any decision.
+    /// Fraction of decisions served from the per-distinct cache, in
+    /// `[0, 1]`; 0 before any decision.
     pub fn decision_cache_hit_rate(&self) -> f64 {
         let total = self.decision_cache_hits + self.decision_cache_misses;
         if total == 0 {
@@ -820,7 +652,7 @@ mod tests {
     use clx_pattern::tokenize;
     use clx_unifi::{Branch, Expr, Program, StringExpr};
 
-    fn compiled() -> CompiledProgram {
+    fn source() -> (Program, Pattern) {
         let program = Program::new(vec![Branch::new(
             tokenize("734.236.3466"),
             Expr::concat(vec![
@@ -831,13 +663,25 @@ mod tests {
                 StringExpr::extract(5),
             ]),
         )]);
-        CompiledProgram::compile(&program, &tokenize("734-422-8073")).unwrap()
+        (program, tokenize("734-422-8073"))
+    }
+
+    fn compiled() -> CompiledProgram {
+        let (program, target) = source();
+        CompiledProgram::compile(&program, &target).unwrap()
+    }
+
+    /// The interpreter's answer for every row, in order.
+    fn expected_rows(rows: &[String]) -> Vec<RowOutcome> {
+        let (program, target) = source();
+        rows.iter()
+            .map(|row| RowOutcome::interpreted(&program, &target, row))
+            .collect()
     }
 
     #[test]
     fn chunks_stream_through_without_whole_column_state() {
-        let program = compiled();
-        let mut stream = program.stream();
+        let mut stream = ColumnStream::from_program(compiled());
         let mut written: Vec<String> = Vec::new();
         for c in 0..10 {
             let chunk: Vec<String> = (0..100)
@@ -847,7 +691,7 @@ mod tests {
                     _ => "???".to_string(),
                 })
                 .collect();
-            let report = stream.push_chunk(&chunk);
+            let report = stream.push_rows(&chunk);
             assert_eq!(report.index, c);
             assert_eq!(report.len(), 100);
             written.extend(report.iter_values().map(str::to_string));
@@ -866,50 +710,58 @@ mod tests {
 
     #[test]
     fn streamed_outcomes_equal_one_shot_execution() {
-        let program = compiled();
+        let program = Arc::new(compiled());
         let column: Vec<String> = (0..500)
             .map(|i| format!("{:03}.{:03}.{:04}", 100 + i % 800, 200 + i % 700, i))
             .collect();
         let one_shot = program.execute(&column);
 
-        let mut stream = program.stream();
+        let mut stream = ColumnStream::new(Arc::clone(&program));
         let mut streamed = Vec::new();
         for chunk in column.chunks(77) {
-            streamed.extend(stream.push_chunk(chunk).into_row_outcomes());
+            streamed.extend(stream.push_rows(chunk).into_row_outcomes());
         }
         let summary = stream.finish();
+        assert_eq!(streamed, expected_rows(&column));
         assert_eq!(streamed, one_shot.clone().into_row_outcomes());
         assert_eq!(summary.stats, one_shot.stats);
     }
 
     #[test]
     fn worker_caches_persist_across_chunks() {
-        let program = compiled();
-        let mut stream = program.stream_with(crate::ExecOptions {
-            threads: 1,
-            chunk_size: 0,
-        });
+        let mut stream = ColumnStream::from_program(compiled());
         let rows: Vec<String> = (0..10).map(|i| format!("111.222.{:04}", i)).collect();
-        stream.push_chunk(&rows);
-        let decided_after_first = stream.caches[0].len();
+        stream.push_rows(&rows);
+        let decided_after_first = stream.dispatch_cache().dense_len();
         assert!(decided_after_first > 0);
-        stream.push_chunk(&rows);
-        // Same leaves in the second chunk: no new plans were built.
-        assert_eq!(stream.caches[0].len(), decided_after_first);
+        let misses_after_first = stream.dispatch_cache().stats().dense_misses;
+        let fresh: Vec<String> = (10..20).map(|i| format!("111.222.{:04}", i)).collect();
+        stream.push_rows(&fresh);
+        // New values, same leaf in the second chunk: no new plans were built.
+        assert_eq!(stream.dispatch_cache().dense_len(), decided_after_first);
+        assert_eq!(
+            stream.dispatch_cache().stats().dense_misses,
+            misses_after_first
+        );
     }
 
     #[test]
     fn empty_stream() {
-        let program = compiled();
-        let summary = program.stream().finish();
+        let mut stream = ColumnStream::from_program(compiled());
+        let report = stream.push_rows::<&str>(&[]);
+        assert!(report.is_empty());
+        let summary = stream.finish();
+        assert_eq!(summary.chunks, 1);
+        assert_eq!(summary.rows(), 0);
+        let summary = ColumnStream::from_program(compiled()).finish();
         assert_eq!(summary.chunks, 0);
         assert_eq!(summary.rows(), 0);
     }
 
-    // ---- column path ------------------------------------------------------
-
     #[test]
     fn column_chunks_match_string_chunks_row_for_row() {
+        // Each streamed chunk equals the interpreter row by row, and the
+        // raw-rows batch entry point over the same chunk.
         let program = compiled();
         let rows: Vec<String> = (0..600)
             .map(|i| match i % 3 {
@@ -919,23 +771,23 @@ mod tests {
             })
             .collect();
 
-        let mut by_strings = program.stream();
-        let mut by_columns = ColumnStream::from_program(compiled());
+        let mut stream = ColumnStream::from_program(compiled());
         for chunk in rows.chunks(128) {
-            let s = by_strings.push_chunk(chunk);
-            let c = by_columns.push_rows(chunk);
-            assert!(c.is_columnar() && !s.is_columnar());
-            assert_eq!(s.len(), c.len());
+            let c = stream.push_rows(chunk);
+            let batch = program.execute(chunk);
+            assert!(c.is_columnar());
+            assert_eq!(c.len(), chunk.len());
             assert_eq!(
-                s.iter_rows().collect::<Vec<_>>(),
-                c.iter_rows().collect::<Vec<_>>()
+                c.iter_rows().cloned().collect::<Vec<_>>(),
+                expected_rows(chunk)
             );
-            assert_eq!(s.stats, c.stats);
+            assert_eq!(
+                c.iter_rows().collect::<Vec<_>>(),
+                batch.iter_rows().collect::<Vec<_>>()
+            );
+            assert_eq!(c.stats, batch.stats);
         }
-        let s = by_strings.finish();
-        let c = by_columns.finish();
-        assert_eq!(s.stats, c.stats);
-        assert_eq!(s.chunks, c.chunks);
+        assert_eq!(stream.finish().stats, program.execute(&rows).stats);
     }
 
     #[test]
@@ -966,30 +818,9 @@ mod tests {
         let mut stream = ColumnStream::from_program(program);
         stream.push_rows(&["111.222.3333", "N/A", "777-888-9999"]);
         stream.push_rows(&["111.222.3333", "000.111.2222"]);
-        // Three distinct leaves decided, all on the dense integer tier; the
-        // hashed tier was never touched.
+        // Three distinct leaves decided, each in its own leaf-id slot.
         assert_eq!(stream.dispatch_cache().dense_len(), 3);
-        assert_eq!(stream.dispatch_cache().len(), 0);
-    }
-
-    #[test]
-    fn push_column_chunk_with_external_interner() {
-        let program = compiled();
-        let mut interner = clx_column::ColumnInterner::new();
-        let mut session = program.stream();
-        let chunk = interner.chunk(&["111.222.3333", "111.222.3333"]);
-        let report = session.push_column_chunk(&chunk);
-        assert_eq!(report.len(), 2);
-        assert_eq!(report.outcomes().len(), 1);
-        assert_eq!(session.distinct_decided(), 1);
-        drop(chunk);
-        let chunk = interner.chunk(&["111.222.3333", "N/A"]);
-        let report = session.push_column_chunk(&chunk);
-        assert_eq!(report.stats.flagged, 1);
-        assert_eq!(session.distinct_decided(), 2);
-        let summary = session.finish();
-        assert_eq!(summary.rows(), 4);
-        assert_eq!(summary.chunks, 2);
+        assert_eq!(stream.dispatch_cache().stats().dense_misses, 3);
     }
 
     // ---- bounded streams ---------------------------------------------------
@@ -1087,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn fallback_stream_degrades_to_the_per_row_path() {
+    fn degraded_fallback_stream_stays_within_its_memory_bound() {
         let rows = mixed_rows(120);
         let mut bounded = ColumnStream::with_budget(
             Arc::new(compiled()),
@@ -1104,44 +935,51 @@ mod tests {
         }
         assert!(bounded.is_degraded());
         assert_eq!(bounded.evictions(), 0);
-        // Degraded chunks are per-row, and the interner is frozen: memory
-        // stops growing no matter how many fresh values stream in.
+        // Every later chunk is interned through a chunk-scoped interner:
+        // the stream's own interner is frozen, and retained memory stops
+        // growing no matter how many fresh values stream in.
         let frozen = bounded.interner().live_distinct_count();
-        let report = bounded.push_rows(&["555.666.7777"]);
-        assert!(!report.is_columnar());
-        assert_eq!(
-            report.iter_values().collect::<Vec<_>>(),
-            vec!["555-666-7777"]
-        );
-        assert_eq!(bounded.interner().live_distinct_count(), frozen);
+        let mut first_degraded = None;
+        for c in 0..12 {
+            let fresh: Vec<String> = (0..40)
+                .map(|i| format!("{:03}.{:03}.{:04}", 500 + c, 600 + i, 7000 + c * 40 + i))
+                .collect();
+            let b = bounded.push_rows(&fresh);
+            let r = reference.push_rows(&fresh);
+            assert!(b.is_columnar());
+            assert_eq!(
+                b.iter_rows().collect::<Vec<_>>(),
+                r.iter_rows().collect::<Vec<_>>()
+            );
+            assert_eq!(bounded.interner().live_distinct_count(), frozen);
+            let memory = bounded.memory_used();
+            let first = *first_degraded.get_or_insert(memory);
+            assert!(memory <= first, "chunk {c}: {memory} > {first} bytes");
+        }
         let summary = bounded.finish();
         assert!(summary.degraded);
+        assert_eq!(summary.stats, reference.finish().stats);
     }
 
     #[test]
     fn session_tolerates_bounded_interner_evictions() {
-        let program = compiled();
-        let mut session = program.stream();
-        let mut interner = clx_column::ColumnInterner::with_budget(StreamBudget::max_distinct(2));
-        let chunk = interner.chunk(&["111.222.3333", "444.555.6666", "777.888.9999"]);
-        let report = session.push_column_chunk(&chunk);
+        let mut stream =
+            ColumnStream::with_budget(Arc::new(compiled()), StreamBudget::max_distinct(2));
+        let report = stream.push_rows(&["111.222.3333", "444.555.6666", "777.888.9999"]);
         assert_eq!(report.stats.transformed, 3);
-        drop(chunk);
-        assert_eq!(session.distinct_decided(), 3);
-        assert!(session.memory_used() > 0);
+        assert_eq!(stream.distinct_decided(), 3);
+        assert!(stream.memory_used() > 0);
 
-        // The next boundary evicts the coldest value; the session prunes
+        // The next boundary evicts the coldest value; the stream prunes
         // its decision and re-decides on reappearance, identically.
-        let chunk = interner.chunk(&["111.222.3333"]);
-        let report = session.push_column_chunk(&chunk);
+        let report = stream.push_rows(&["111.222.3333"]);
         assert_eq!(
             report.iter_values().collect::<Vec<_>>(),
             vec!["111-222-3333"]
         );
-        drop(chunk);
-        assert!(interner.evictions() > 0);
-        assert!(session.distinct_decided() <= interner.live_distinct_count());
-        let summary = session.finish();
+        assert!(stream.evictions() > 0);
+        assert!(stream.distinct_decided() <= stream.interner().live_distinct_count());
+        let summary = stream.finish();
         assert!(summary.evictions > 0);
         assert!(summary.peak_memory_bytes > 0);
     }
@@ -1160,13 +998,8 @@ mod tests {
         assert_eq!(summary.decision_cache_hits, 4);
         assert!((summary.decision_cache_hit_rate() - 4.0 / 6.0).abs() < 1e-9);
 
-        // The `&[String]` path never touches the decision cache.
-        let program = compiled();
-        let mut session = program.stream();
-        session.push_chunk(&["111.222.3333".to_string()]);
-        let summary = session.finish();
-        assert_eq!(summary.decision_cache_hits, 0);
-        assert_eq!(summary.decision_cache_misses, 0);
+        // A stream that never decided anything reports a zero rate.
+        let summary = ColumnStream::from_program(compiled()).finish();
         assert_eq!(summary.decision_cache_hit_rate(), 0.0);
     }
 
@@ -1199,6 +1032,7 @@ mod tests {
                 .collect();
             stream.push_rows(&rows);
         }
+        let stream_dispatch = stream.dispatch_cache().stats();
         let summary = stream.finish();
 
         let snap = MetricSink::snapshot(&*sink);
@@ -1212,10 +1046,17 @@ mod tests {
             snap.counter("engine.stream.decision_misses"),
             Some(summary.decision_cache_misses)
         );
-        // The column path dispatches on the dense tier only, and the
-        // sink's cumulative deltas must agree with the cache's tallies.
-        assert_eq!(snap.counter("engine.dispatch.hashed_misses"), Some(0));
-        assert!(snap.counter("engine.dispatch.dense_misses").unwrap() > 0);
+        // The sink's cumulative deltas must agree with the cache's tallies.
+        let dispatch = stream_dispatch;
+        assert_eq!(
+            snap.counter("engine.dispatch.dense_misses"),
+            Some(dispatch.dense_misses)
+        );
+        assert_eq!(
+            snap.counter("engine.dispatch.dense_hits"),
+            Some(dispatch.dense_hits)
+        );
+        assert!(dispatch.dense_misses > 0);
         assert_eq!(snap.histogram("engine.stream.chunk_ns").unwrap().count, 6);
         assert_eq!(
             snap.histogram("engine.stream.rows_per_sec").unwrap().count,
@@ -1307,19 +1148,22 @@ mod tests {
     #[test]
     fn switching_interners_resets_the_decision_cache() {
         let program = compiled();
-        let mut session = program.stream();
-        let mut a = clx_column::ColumnInterner::new();
+        let mut cache = DispatchCache::new();
+        let mut decisions = DistinctDecisions::default();
+        let mut a = ColumnInterner::new();
         let chunk = a.chunk(&["111.222.3333"]);
-        session.push_column_chunk(&chunk);
-        assert_eq!(session.distinct_decided(), 1);
+        decisions.decide_chunk(&program, &mut cache, &chunk, 0, None);
+        assert_eq!(decisions.len(), 1);
 
-        // A chunk from a different interner carries ids from a different id
-        // space; the per-id decision cache must not alias them.
-        let mut b = clx_column::ColumnInterner::new();
+        // A chunk from a different interner (a degraded stream's
+        // chunk-scoped one) carries ids from a different id space; the
+        // per-id decision cache must not alias them.
+        let mut b = ColumnInterner::new();
         let chunk = b.chunk(&["N/A", "N/A"]);
-        let report = session.push_column_chunk(&chunk);
+        let report = decisions.decide_chunk(&program, &mut cache, &chunk, 1, None);
         assert_eq!(report.stats.flagged, 2);
-        assert_eq!(session.distinct_decided(), 1);
+        assert_eq!(decisions.len(), 1);
+        assert_eq!(report.iter_values().collect::<Vec<_>>(), vec!["N/A", "N/A"]);
     }
 
     /// Two transparent branches over disjoint leaves, so a repair to one

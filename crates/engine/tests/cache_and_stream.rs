@@ -1,10 +1,10 @@
 //! Direct coverage of the [`ProgramCache`] LRU eviction order and the
-//! streaming `push_chunk`/`finish` path (previously only exercised
+//! streaming `push_rows`/`finish` path (previously only exercised
 //! indirectly through the engine-equivalence suite).
 
 use std::sync::Arc;
 
-use clx_engine::{CompiledProgram, ExecOptions, ProgramCache};
+use clx_engine::{ColumnStream, CompiledProgram, ProgramCache, RowOutcome};
 use clx_pattern::tokenize;
 use clx_unifi::{Branch, Expr, Program, StringExpr};
 
@@ -108,8 +108,8 @@ fn cached_compilations_are_shared_not_recompiled() {
     assert!(Arc::ptr_eq(&first, &second));
 }
 
-fn dotted_to_dashed() -> CompiledProgram {
-    let program = Program::new(vec![Branch::new(
+fn dotted_to_dashed_source() -> Program {
+    Program::new(vec![Branch::new(
         tokenize("734.236.3466"),
         Expr::concat(vec![
             StringExpr::extract(1),
@@ -118,30 +118,31 @@ fn dotted_to_dashed() -> CompiledProgram {
             StringExpr::const_str("-"),
             StringExpr::extract(5),
         ]),
-    )]);
-    CompiledProgram::compile(&program, &tokenize("734-422-8073")).unwrap()
+    )])
+}
+
+fn dotted_to_dashed() -> ColumnStream {
+    let compiled =
+        CompiledProgram::compile(&dotted_to_dashed_source(), &tokenize("734-422-8073")).unwrap();
+    ColumnStream::from_program(compiled)
 }
 
 #[test]
 fn stream_counters_match_pushed_chunks() {
-    let program = dotted_to_dashed();
-    let mut stream = program.stream_with(ExecOptions {
-        threads: 1,
-        chunk_size: 0,
-    });
+    let mut stream = dotted_to_dashed();
     assert_eq!(stream.chunks_pushed(), 0);
 
     let transformed: Vec<String> = (0..40).map(|i| format!("111.222.{:04}", i)).collect();
     let conforming: Vec<String> = (0..25).map(|i| format!("111-222-{:04}", i)).collect();
     let flagged: Vec<String> = (0..10).map(|_| "???".to_string()).collect();
 
-    let r1 = stream.push_chunk(&transformed);
+    let r1 = stream.push_rows(&transformed);
     assert_eq!(r1.index, 0);
     assert_eq!(r1.stats.transformed, 40);
-    let r2 = stream.push_chunk(&conforming);
+    let r2 = stream.push_rows(&conforming);
     assert_eq!(r2.index, 1);
     assert_eq!(r2.stats.conforming, 25);
-    let r3 = stream.push_chunk(&flagged);
+    let r3 = stream.push_rows(&flagged);
     assert_eq!(r3.index, 2);
     assert_eq!(r3.stats.flagged, 10);
 
@@ -160,23 +161,21 @@ fn stream_counters_match_pushed_chunks() {
 
 #[test]
 fn stream_handles_empty_chunks_and_empty_runs() {
-    let program = dotted_to_dashed();
-    let mut stream = program.stream();
-    let report = stream.push_chunk(&[]);
+    let mut stream = dotted_to_dashed();
+    let report = stream.push_rows::<String>(&[]);
     assert_eq!(report.len(), 0);
     assert_eq!(stream.chunks_pushed(), 1);
     let summary = stream.finish();
     assert_eq!(summary.rows(), 0);
 
     // A run with no chunks at all.
-    let summary = dotted_to_dashed().stream().finish();
+    let summary = dotted_to_dashed().finish();
     assert_eq!(summary.chunks, 0);
     assert_eq!(summary.rows(), 0);
 }
 
 #[test]
 fn streamed_rows_equal_one_shot_and_column_execution() {
-    let program = dotted_to_dashed();
     let rows: Vec<String> = (0..600)
         .map(|i| match i % 3 {
             0 => format!("{:03}.{:03}.{:04}", 100 + i % 9, 200 + i % 9, i % 9),
@@ -184,21 +183,26 @@ fn streamed_rows_equal_one_shot_and_column_execution() {
             _ => "N/A".to_string(),
         })
         .collect();
+    let target = tokenize("734-422-8073");
+    let expected: Vec<RowOutcome> = rows
+        .iter()
+        .map(|row| RowOutcome::interpreted(&dotted_to_dashed_source(), &target, row))
+        .collect();
 
-    let one_shot = program.execute(&rows);
-    let by_column = program.execute_column(&clx_column::Column::from_values(&rows));
-    assert_eq!(
-        one_shot.iter_rows().collect::<Vec<_>>(),
-        by_column.iter_rows().collect::<Vec<_>>()
-    );
+    let mut stream = dotted_to_dashed();
+    let one_shot = stream.program().execute(&rows);
+    let by_column = stream
+        .program()
+        .execute_column(&clx_column::Column::from_values(&rows));
+    assert_eq!(one_shot.clone().into_row_outcomes(), expected);
+    assert_eq!(by_column.clone().into_row_outcomes(), expected);
 
-    let mut stream = program.stream();
     let mut streamed = Vec::new();
     for chunk in rows.chunks(128) {
-        streamed.extend(stream.push_chunk(chunk).into_row_outcomes());
+        streamed.extend(stream.push_rows(chunk).into_row_outcomes());
     }
     let summary = stream.finish();
-    let one_shot_stats = one_shot.stats;
-    assert_eq!(streamed, one_shot.into_row_outcomes());
-    assert_eq!(summary.stats, one_shot_stats);
+    assert_eq!(streamed, expected);
+    assert_eq!(summary.stats, one_shot.stats);
+    assert_eq!(summary.stats, by_column.stats);
 }

@@ -2,15 +2,17 @@
 //!
 //! The interactive session (see `quickstart.rs`) is for the human in the
 //! loop; this example shows the serving side: `ClxSession::compile()` hands
-//! the synthesized program to the `clx-engine` subsystem, which executes it
-//! over large columns in parallel chunks, streams columns that do not fit
-//! in memory, and caches compiled programs across requests.
+//! the synthesized program to the `clx-engine` subsystem, which interns a
+//! large column once and decides each distinct value once, streams columns
+//! that do not fit in memory, and caches compiled programs across requests.
 //!
 //! Run with: `cargo run --release --example batch_transform`
 
+use std::sync::Arc;
+
 use clx::datagen::large_case;
 use clx::engine::ProgramCache;
-use clx::{tokenize, ClxSession, TransformReport};
+use clx::{tokenize, ClxSession, ColumnStream, TransformReport};
 
 fn main() {
     // ---- Interactive phase: one labelled session ------------------------
@@ -32,20 +34,22 @@ fn main() {
         compiled.is_fully_transparent()
     );
 
-    // ---- Execute in parallel chunks -------------------------------------
+    // ---- Execute: intern the rows, decide each distinct value once -----
     let report = TransformReport::from_batch(compiled.execute(&case.data));
     println!(
-        "parallel apply: {} transformed, {} conforming, {} flagged",
+        "execute: {} transformed, {} conforming, {} flagged ({} distinct outcomes)",
         report.transformed_count(),
         report.conforming_count(),
-        report.flagged_count()
+        report.flagged_count(),
+        report.distinct_outcomes().len()
     );
+    assert_eq!(report.len(), case.data.len());
 
     // ---- Stream a column larger than we want in memory ------------------
-    let mut stream = compiled.stream();
+    let mut stream = ColumnStream::new(Arc::new(compiled));
     for chunk in case.data.chunks(8_192) {
         // In a real pipeline each returned chunk goes straight to a sink.
-        let chunk_report = stream.push_chunk(chunk);
+        let chunk_report = stream.push_rows(chunk);
         drop(chunk_report);
     }
     let summary = stream.finish();
@@ -55,6 +59,8 @@ fn main() {
         summary.chunks,
         summary.stats.flagged
     );
+    assert_eq!(summary.stats.flagged, report.flagged_count());
+    assert_eq!(summary.stats.transformed, report.transformed_count());
 
     // ---- Cache compiled programs across requests ------------------------
     let cache = ProgramCache::new(32);

@@ -18,8 +18,8 @@
 //! * [`engine`] — the compiled batch-execution subsystem:
 //!   [`ClxSession::compile`](clx_core::ClxSession::compile) turns the
 //!   synthesized program into a thread-safe [`CompiledProgram`] for
-//!   parallel chunked execution, streaming over columns larger than
-//!   memory, and LRU caching ([`ProgramCache`]). Reports are columnar
+//!   interned columnar execution, streaming over columns larger than
+//!   memory ([`ColumnStream`]), and LRU caching ([`ProgramCache`]). Reports are columnar
 //!   ([`TransformReport`]): one outcome per *distinct* value plus the
 //!   column's shared row map — O(distinct), never per-duplicate clones.
 //!   After a repair, [`ClxSession::reverify`](clx_core::ClxSession::reverify)
@@ -110,8 +110,8 @@ pub use clx_core::{
     TransformReport,
 };
 pub use clx_engine::{
-    BatchReport, ColumnStream, CompiledProgram, DispatchStats, ExecOptions, PatchStats,
-    ProgramCache, ProgramCacheStats, ProgramDelta, StreamSession, StreamSummary, SwapSummary,
+    BatchReport, ColumnStream, CompiledProgram, DispatchStats, PatchStats, ProgramCache,
+    ProgramCacheStats, ProgramDelta, StreamSummary, SwapSummary,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{validate_report, ValidationReport};

@@ -7,7 +7,7 @@
 //! weights constant discovery by *distinct* value, so repeats are no longer
 //! evidence of constancy and the normal program comes back.
 
-use clx::{tokenize, ClxSession, Column, TransformReport};
+use clx::{tokenize, ClxSession, Column, RowOutcome, TransformReport};
 
 #[test]
 fn repeated_value_column_synthesizes_a_working_program() {
@@ -68,6 +68,14 @@ fn engine_and_sequential_agree_on_duplicated_columns() {
     let compiled = session.compile().unwrap();
     let via_rows = TransformReport::from_batch(compiled.execute(&data));
 
+    // Every path equals the interpreter deciding each row on its own.
+    let (program, target) = (session.program(), session.target().clone());
+    for (i, row) in data.iter().enumerate() {
+        let want = RowOutcome::interpreted(&program, &target, row);
+        assert_eq!(sequential.row(i), &want, "apply, row {i}");
+        assert_eq!(via_column.row(i), &want, "apply_parallel, row {i}");
+        assert_eq!(via_rows.row(i), &want, "execute, row {i}");
+    }
     assert_eq!(sequential, via_column);
     assert_eq!(sequential, via_rows);
     assert_eq!(sequential.flagged_count(), 200); // the N/A rows

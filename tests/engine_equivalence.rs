@@ -1,11 +1,16 @@
-//! Sequential/parallel equivalence: the compiled `clx-engine` path must
-//! produce *exactly* the rows of `ClxSession::apply` — same transformed
-//! values, and identical `Flagged` rows (§6.1 "leave unchanged and flag") —
-//! on the phone-number workload of `crates/datagen`.
+//! Interpreter/engine equivalence: every compiled `clx-engine` path must
+//! produce *exactly* the rows of `ClxSession::apply` and of the interpreter
+//! deciding each row on its own — same transformed values, and identical
+//! `Flagged` rows (§6.1 "leave unchanged and flag") — on the phone-number
+//! workload of `crates/datagen`.
+
+use std::sync::Arc;
 
 use clx::datagen::{DataGenerator, PhoneFormat};
-use clx::engine::ExecOptions;
-use clx::{tokenize, ClxSession, Labelled, ProgramCache, TransformReport};
+use clx::{
+    tokenize, ClxSession, ColumnBuilder, ColumnStream, Labelled, ProgramCache, RowOutcome,
+    TransformReport,
+};
 
 /// The §7.2 study formats plus the paper's noise formats (`N/A`, `+1 ...`),
 /// so the column exercises conforming, transformed and flagged rows.
@@ -22,6 +27,14 @@ fn labelled_session(data: Vec<String>) -> ClxSession<Labelled> {
     ClxSession::new(data)
         .label(tokenize("734-422-8073"))
         .unwrap()
+}
+
+/// The interpreter's answer for every row of `data`, in order.
+fn expected_rows(session: &ClxSession<Labelled>, data: &[String]) -> Vec<RowOutcome> {
+    let (program, target) = (session.program(), session.target().clone());
+    data.iter()
+        .map(|row| RowOutcome::interpreted(&program, &target, row))
+        .collect()
 }
 
 #[test]
@@ -68,19 +81,22 @@ fn chunking_and_thread_count_do_not_change_the_report() {
     let session = labelled_session(data.clone());
     let compiled = session.compile().unwrap();
 
+    // Threads: the builder's shard count. Chunking: the stream's chunk
+    // size.
     let baseline = session.apply().unwrap();
-    for (threads, chunk_size) in [(1, 64), (2, 100), (4, 333), (8, 7), (3, 100_000)] {
-        let report = TransformReport::from_batch(compiled.execute_with(
-            &data,
-            ExecOptions {
-                threads,
-                chunk_size,
-            },
-        ));
-        assert_eq!(
-            baseline, report,
-            "threads={threads} chunk_size={chunk_size} diverged"
-        );
+    let compiled = Arc::new(compiled);
+    for (shards, chunk_size) in [(1, 64), (2, 100), (4, 333), (8, 7), (3, 100_000)] {
+        let column = ColumnBuilder::new().shards(shards).build(data.clone());
+        let report = TransformReport::from_batch(compiled.execute_column(&column));
+        assert_eq!(baseline, report, "shards={shards} diverged");
+
+        let mut stream = ColumnStream::new(Arc::clone(&compiled));
+        let mut streamed = Vec::new();
+        for chunk in data.chunks(chunk_size) {
+            streamed.extend(stream.push_rows(chunk).into_row_outcomes());
+        }
+        let streamed = TransformReport::from_row_outcomes(baseline.target().clone(), streamed);
+        assert_eq!(baseline, streamed, "chunk_size={chunk_size} diverged");
     }
 }
 
@@ -91,15 +107,23 @@ fn streaming_path_matches_sequential_apply() {
     let compiled = session.compile().unwrap();
     let sequential = session.apply().unwrap();
 
-    let mut stream = compiled.stream();
-    let mut streamed_values = Vec::new();
+    let mut stream = ColumnStream::from_program(compiled);
+    let mut streamed = Vec::new();
     for chunk in data.chunks(500) {
-        let report = stream.push_chunk(chunk);
-        streamed_values.extend(report.iter_values().map(str::to_string));
+        let report = stream.push_rows(chunk);
+        streamed.extend(report.iter_rows().cloned());
     }
     let summary = stream.finish();
 
-    assert_eq!(streamed_values, sequential.values());
+    let expected = expected_rows(&session, &data);
+    assert_eq!(streamed.len(), expected.len());
+    for (i, (got, want)) in streamed.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "row {i}");
+    }
+    assert_eq!(
+        streamed.iter().map(RowOutcome::value).collect::<Vec<_>>(),
+        sequential.values()
+    );
     assert_eq!(summary.rows(), data.len());
     assert_eq!(summary.stats.flagged, sequential.flagged_count());
     assert_eq!(summary.stats.transformed, sequential.transformed_count());
@@ -110,18 +134,23 @@ fn streaming_path_matches_sequential_apply() {
 fn column_execution_is_identical_to_row_execution() {
     // The column path dispatches on cached leaf signatures and decides each
     // distinct value once; the report must still be row-for-row identical
-    // to the per-row engine path and to sequential apply — flagged rows
-    // included.
+    // to the interpreter deciding every row on its own, and to sequential
+    // apply — flagged rows included.
     let data = noisy_phone_column(2_500, 11);
     let session = labelled_session(data.clone());
     let compiled = session.compile().unwrap();
 
     let sequential = session.apply().unwrap();
-    let per_row = TransformReport::from_batch(compiled.execute(&data));
+    let per_row = TransformReport::from_row_outcomes(
+        session.target().clone(),
+        expected_rows(&session, &data),
+    );
+    let from_rows = TransformReport::from_batch(compiled.execute(&data));
     let per_column = TransformReport::from_batch(compiled.execute_column(session.data()));
 
     assert_eq!(sequential, per_row);
-    assert_eq!(sequential, per_column);
+    assert_eq!(from_rows, per_row);
+    assert_eq!(per_column, per_row);
     assert_eq!(per_row.flagged_values(), per_column.flagged_values());
 }
 

@@ -1,9 +1,9 @@
 //! The columnar `TransformReport` surface: `iter_rows()` must be
-//! row-for-row identical to the per-row path the report replaced, while the
-//! report itself stores only O(distinct) outcomes.
+//! row-for-row identical to deciding every row on its own, while the report
+//! itself stores only O(distinct) outcomes.
 
 use clx::datagen::duplicate_heavy_case;
-use clx::{tokenize, ClxSession, Labelled, TransformReport};
+use clx::{tokenize, ClxSession, Labelled, RowOutcome, TransformReport};
 
 fn duplicate_heavy_session(rows: usize, distinct: usize, seed: u64) -> ClxSession<Labelled> {
     let case = duplicate_heavy_case(rows, distinct, seed);
@@ -18,10 +18,18 @@ fn iter_rows_is_row_identical_to_the_per_row_path() {
     let session = duplicate_heavy_session(20_000, 200, 11);
     let columnar = session.apply().unwrap();
 
-    // The old per-row path: the compiled engine over the raw rows, which
-    // stores one outcome per row (identity map).
+    // The per-row reference: the interpreter decides every row on its own,
+    // stored one outcome per row (identity map).
     let rows = session.data().to_vec();
-    let per_row = TransformReport::from_batch(session.compile().unwrap().execute(&rows));
+    let (program, target) = (session.program(), session.target().clone());
+    let per_row = TransformReport::from_row_outcomes(
+        target.clone(),
+        rows.iter()
+            .map(|row| RowOutcome::interpreted(&program, &target, row))
+            .collect(),
+    );
+    let compiled = TransformReport::from_batch(session.compile().unwrap().execute(&rows));
+    assert_eq!(compiled, per_row);
 
     // Row-for-row identity, in order — variants and values both.
     assert_eq!(columnar.len(), per_row.len());
@@ -44,6 +52,10 @@ fn iter_rows_is_row_identical_to_the_per_row_path() {
         session.data().distinct_count()
     );
     assert!(columnar.distinct_outcomes().len() <= 200);
+    assert_eq!(
+        compiled.distinct_outcomes().len(),
+        session.data().distinct_count()
+    );
     assert_eq!(per_row.distinct_outcomes().len(), 20_000);
 }
 

@@ -1,29 +1,36 @@
 //! Cross-chunk dedup equivalence: pushing a column split into K chunks
 //! through the persistent interner must yield reports row-for-row identical
-//! to one-shot `execute_column` — including `Flagged` rows and repeated
-//! values straddling chunk boundaries — while deciding each distinct value
-//! once per stream and dispatching on the dense leaf-id index.
+//! to the interpreter deciding every row on its own, and to one-shot
+//! `execute_column` — including `Flagged` rows and repeated values
+//! straddling chunk boundaries — while deciding each distinct value once
+//! per stream and dispatching on the dense leaf-id index.
 
 use clx::{ClxSession, Column, ColumnStream, RowOutcome};
-use clx_column::ColumnInterner;
 use clx_datagen::duplicate_heavy_case;
 
 /// A duplicate-heavy column with all study phone formats plus `N/A` noise
-/// (so conforming, transformed *and* flagged rows all occur), and a
-/// compiled program for it.
-fn workload(rows: usize, distinct: usize) -> (Vec<String>, clx::CompiledProgram) {
+/// (so conforming, transformed *and* flagged rows all occur), a compiled
+/// program for it, and the interpreter's answer for every row.
+fn workload(rows: usize, distinct: usize) -> (Vec<String>, clx::CompiledProgram, Vec<RowOutcome>) {
     let case = duplicate_heavy_case(rows, distinct, 11);
     let session = ClxSession::new(case.data.clone())
         .label_by_example(&case.target_example)
         .expect("label");
     let compiled = session.compile().expect("compile");
-    (case.data, compiled)
+    let (program, target) = (session.program(), session.target().clone());
+    let expected = case
+        .data
+        .iter()
+        .map(|row| RowOutcome::interpreted(&program, &target, row))
+        .collect();
+    (case.data, compiled, expected)
 }
 
 #[test]
 fn k_chunk_column_stream_equals_one_shot_execute_column() {
-    let (data, compiled) = workload(20_000, 200);
+    let (data, compiled, expected) = workload(20_000, 200);
     let one_shot = compiled.execute_column(&Column::from_rows(data.clone()));
+    assert_eq!(one_shot.clone().into_row_outcomes(), expected);
     assert!(one_shot.stats.flagged > 0, "workload must exercise Flagged");
     assert!(one_shot.stats.transformed > 0);
 
@@ -57,8 +64,7 @@ fn k_chunk_column_stream_equals_one_shot_execute_column() {
             stream.interner().distinct_count(),
             Column::from_rows(data.clone()).distinct_count()
         );
-        // Dispatch ran exclusively on the dense leaf-id tier.
-        assert_eq!(stream.dispatch_cache().len(), 0);
+        // Dispatch decided one plan per distinct leaf-id.
         assert_eq!(
             stream.dispatch_cache().dense_len(),
             stream.interner().leaf_count()
@@ -67,32 +73,11 @@ fn k_chunk_column_stream_equals_one_shot_execute_column() {
         let summary = stream.finish();
         assert_eq!(summary.stats, one_shot.stats);
         assert_eq!(summary.rows(), data.len());
-        assert_eq!(streamed.len(), one_shot.len());
-        for (row, (got, want)) in streamed.iter().zip(one_shot.iter_rows()).enumerate() {
+        assert_eq!(streamed.len(), expected.len());
+        for (row, (got, want)) in streamed.iter().zip(&expected).enumerate() {
             assert_eq!(got, want, "row {row} (chunk size {chunk_size})");
         }
     }
-}
-
-#[test]
-fn external_interner_chunks_equal_one_shot_execution() {
-    let (data, compiled) = workload(6_000, 120);
-    let one_shot = compiled.execute_column(&Column::from_rows(data.clone()));
-
-    // Drive StreamSession::push_column_chunk directly with a caller-owned
-    // interner (the non-owning variant of the columnar path).
-    let mut interner = ColumnInterner::new();
-    let mut session = compiled.stream();
-    let mut streamed: Vec<RowOutcome> = Vec::new();
-    for rows in data.chunks(499) {
-        let chunk = interner.chunk(rows);
-        let report = session.push_column_chunk(&chunk);
-        assert_eq!(report.len(), rows.len());
-        streamed.extend(report.iter_rows().cloned());
-    }
-    let summary = session.finish();
-    assert_eq!(summary.stats, one_shot.stats);
-    assert_eq!(streamed, one_shot.into_row_outcomes());
 }
 
 #[test]

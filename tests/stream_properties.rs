@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use clx::engine::{Decision, DispatchCache};
+use clx::engine::Decision;
 use clx::pattern::automaton::MultiPatternAutomaton;
 use clx::pattern::{tokenize, Quantifier, TokenSlice};
 use clx::unifi::{Branch, Expr, Program, StringExpr};
@@ -443,8 +443,8 @@ proptest! {
     /// The fused automaton and the per-branch loop are the same decision
     /// function: for random programs (transparent, opaque, `+`-quantified,
     /// fallback-forcing wide) and random values — pattern-derived matches
-    /// and arbitrary junk — `decide` and `transform_one` agree exactly,
-    /// each side deciding cold through its own fresh [`DispatchCache`].
+    /// and arbitrary junk — `decide` agrees exactly, and so does `execute`
+    /// with each other and with the interpreter, value by value.
     #[test]
     fn fused_decisions_equal_per_branch_decisions(
         program_and_target in any_program(),
@@ -467,9 +467,9 @@ proptest! {
         values.push(String::new());
         values.extend(extra);
 
-        let mut fused_cache = DispatchCache::new();
-        let mut plain_cache = DispatchCache::new();
-        for value in &values {
+        let fused_report = fused.execute(&values);
+        let plain_report = plain.execute(&values);
+        for (i, value) in values.iter().enumerate() {
             let fd = fused.decide(value);
             let pd = plain.decide(value);
             prop_assert!(fd == pd, "decide diverged on {:?}: {:?} vs {:?}", value, fd, pd);
@@ -479,9 +479,10 @@ proptest! {
                 // a transparent program is exactly the automaton's word.
                 prop_assert!(matches!(fd, Decision::Conforming | Decision::Branch(_) | Decision::Flagged));
             }
-            let ft = fused.transform_one(&mut fused_cache, value);
-            let pt = plain.transform_one(&mut plain_cache, value);
+            let (ft, pt) = (fused_report.row(i), plain_report.row(i));
             prop_assert!(ft == pt, "transform diverged on {:?}: {:?} vs {:?}", value, ft, pt);
+            let want = RowOutcome::interpreted(&program, &target, value);
+            prop_assert!(ft == &want, "engine and interpreter diverged on {:?}: {:?} vs {:?}", value, ft, want);
         }
     }
 
