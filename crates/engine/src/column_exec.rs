@@ -139,36 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn execute_rows_is_correct_and_ordered() {
-        let program = compiled();
-        for n in [0, 1, 2, 255, 256, 257, 999, 5_000] {
-            let rows = duplicate_heavy_rows(n);
-            let report = program.execute(&rows);
-            assert_eq!(report.len(), n, "size {n}");
-            assert_eq!(report.stats.rows(), n, "size {n}");
-            for (row, input) in report.iter_rows().zip(&rows) {
-                match input.chars().nth(3) {
-                    Some('.') => assert!(row.is_transformed(), "{input} -> {row:?}"),
-                    Some('-') => assert!(row.is_conforming(), "{input} -> {row:?}"),
-                    _ => assert!(row.is_flagged(), "{input} -> {row:?}"),
-                }
-                if !row.is_flagged() {
-                    assert!(program.target().matches(row.value()), "{row:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_column_reports_empty() {
-        let program = compiled();
-        for report in [
-            program.execute_column(&Column::default()),
-            program.execute(&[]),
-        ] {
-            assert!(report.is_empty());
-            assert_eq!(report.chunk_count, 0);
-        }
+        let report = compiled().execute_column(&Column::default());
+        assert!(report.is_empty());
+        assert_eq!(report.chunk_count, 0);
     }
 
     #[test]

@@ -88,6 +88,11 @@ mod delta;
 mod dispatch;
 mod error;
 mod fused;
+/// Tests of the sharded `&[String]` entry point, [`CompiledProgram::execute`].
+#[cfg(test)]
+mod parallel {
+    mod tests;
+}
 mod report;
 mod stream;
 
