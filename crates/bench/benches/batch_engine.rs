@@ -11,6 +11,10 @@
 //! Each entry point runs on two inputs: a duplicate-heavy column (100k rows
 //! over ≤1k distinct values) and an all-distinct column, where interning
 //! buys nothing and is pure overhead over deciding each row.
+//!
+//! `CLX_BENCH_SMOKE=1` shrinks both columns to 2k rows (≤100 distinct in
+//! the duplicate-heavy one) so CI can execute the binary end to end; smoke
+//! numbers are not comparable to full runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::collections::HashSet;
@@ -24,16 +28,27 @@ use clx_pattern::tokenize;
 const ROWS: usize = 100_000;
 const DISTINCT: usize = 1_000;
 
+/// `CLX_BENCH_SMOKE=1`: tiny columns so CI can execute (not just compile)
+/// this binary on every PR.
+fn smoke() -> bool {
+    std::env::var_os("CLX_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
 fn bench_batch_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_engine");
     group.sample_size(10);
+    let (rows, distinct) = if smoke() {
+        (2_000, 100)
+    } else {
+        (ROWS, DISTINCT)
+    };
 
     // Generated phone numbers almost never repeat; dropping the rare repeat
     // makes the column exactly all-distinct.
     let mut seen = HashSet::new();
-    let mut all_distinct = large_case(ROWS, 7).data;
+    let mut all_distinct = large_case(rows, 7).data;
     all_distinct.retain(|row| seen.insert(row.clone()));
-    let duplicate_heavy = duplicate_heavy_case(ROWS, DISTINCT, 7).data;
+    let duplicate_heavy = duplicate_heavy_case(rows, distinct, 7).data;
 
     let session = ClxSession::new(all_distinct.clone())
         .label(tokenize("734-422-8073"))

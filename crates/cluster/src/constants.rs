@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use clx_pattern::{tokenize_detailed, Pattern, Token, TokenizedString};
+use clx_pattern::{tokenize_detailed, Pattern, Token, TokenView, TokenizedString};
 
 /// Options controlling constant discovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,7 +94,7 @@ pub fn discover_constants(
     options: &ConstantDiscoveryOptions,
 ) -> (Pattern, Vec<usize>) {
     let tokenized: Vec<TokenizedString> = values.iter().map(|v| tokenize_detailed(v)).collect();
-    let streams: Vec<&TokenizedString> = tokenized.iter().collect();
+    let streams: Vec<TokenView<'_>> = tokenized.iter().map(TokenizedString::view).collect();
     discover_constants_cached(pattern, &streams, options)
 }
 
@@ -102,7 +102,7 @@ pub fn discover_constants(
 /// per-distinct-value tokenizations of a [`clx_column::Column`]).
 pub fn discover_constants_cached(
     pattern: &Pattern,
-    values: &[&TokenizedString],
+    values: &[TokenView<'_>],
     options: &ConstantDiscoveryOptions,
 ) -> (Pattern, Vec<usize>) {
     discover_constants_weighted(pattern, values, None, options)
@@ -117,7 +117,7 @@ pub fn discover_constants_cached(
 /// once" in either mode.
 pub fn discover_constants_weighted(
     pattern: &Pattern,
-    values: &[&TokenizedString],
+    values: &[TokenView<'_>],
     multiplicities: Option<&[usize]>,
     options: &ConstantDiscoveryOptions,
 ) -> (Pattern, Vec<usize>) {
@@ -144,15 +144,14 @@ pub fn discover_constants_weighted(
     let mut total_weight = 0usize;
     for (i, value) in values.iter().enumerate() {
         debug_assert_eq!(
-            &value.pattern, pattern,
+            value.pattern(),
+            pattern,
             "all values of a cluster share its leaf pattern"
         );
         let weight = weight_of(i);
         total_weight += weight;
-        for slice in &value.slices {
-            *position_values[slice.token_index]
-                .entry(slice.text.as_str())
-                .or_insert(0) += weight;
+        for (position, slice) in value.slices().enumerate() {
+            *position_values[position].entry(slice).or_insert(0) += weight;
         }
     }
 
@@ -199,11 +198,10 @@ pub fn discover_constants_weighted(
         .iter()
         .enumerate()
         .filter(|(_, value)| {
-            value.slices.iter().all(|slice| {
-                constant_value[slice.token_index]
-                    .map(|v| slice.text == v)
-                    .unwrap_or(true)
-            })
+            value
+                .slices()
+                .zip(&constant_value)
+                .all(|(slice, constant)| constant.is_none_or(|v| slice == v))
         })
         .map(|(i, _)| i)
         .collect();
@@ -350,7 +348,7 @@ mod tests {
         // rows agree (0.95 >= 0.8: fold) — on this column, frequency *is*
         // the signal that "CPT" is the intended constant.
         let values = streams(&["CPT115", "CPT200", "XYZ999"]);
-        let refs: Vec<&TokenizedString> = values.iter().collect();
+        let refs: Vec<TokenView<'_>> = values.iter().map(TokenizedString::view).collect();
         let multiplicities = [10usize, 8, 1];
         let pattern = tokenize("CPT115");
 
@@ -385,7 +383,7 @@ mod tests {
         // statistics are row-weighted, because the support guard counts
         // distinct values.
         let values = streams(&["Dr. Eran Yahav"]);
-        let refs: Vec<&TokenizedString> = values.iter().collect();
+        let refs: Vec<TokenView<'_>> = values.iter().map(TokenizedString::view).collect();
         let pattern = tokenize("Dr. Eran Yahav");
         let options = ConstantDiscoveryOptions {
             row_weighted: true,
@@ -400,7 +398,7 @@ mod tests {
     #[test]
     fn row_weighting_without_multiplicities_equals_the_default() {
         let values = streams(&["CPT115", "CPT200", "XYZ999"]);
-        let refs: Vec<&TokenizedString> = values.iter().collect();
+        let refs: Vec<TokenView<'_>> = values.iter().map(TokenizedString::view).collect();
         let pattern = tokenize("CPT115");
         let options = ConstantDiscoveryOptions {
             dominance_threshold: 0.6,

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use clx_column::Column;
-use clx_pattern::{Pattern, TokenizedString};
+use clx_pattern::{Pattern, TokenView};
 
 use crate::constants::{discover_constants_weighted, ConstantDiscoveryOptions};
 use crate::hierarchy::{NodeId, PatternHierarchy};
@@ -119,9 +119,9 @@ impl PatternProfiler {
         let mut final_clusters: Vec<(Pattern, Vec<usize>)> = Vec::new();
         for (pattern, members) in order.into_iter().zip(clusters) {
             if self.options.discover_constants {
-                let streams: Vec<&TokenizedString> = members
+                let streams: Vec<TokenView<'_>> = members
                     .iter()
-                    .map(|&v| column.distinct(v).tokenized())
+                    .map(|&v| column.distinct(v).tokens())
                     .collect();
                 // Row multiplicities only matter in `row_weighted` mode;
                 // the default statistics count each distinct value once, so

@@ -659,7 +659,7 @@ impl ClxSession<Labelled> {
                     let tokenized = match outcome {
                         // Unchanged rows keep their cached tokenization.
                         RowOutcome::Conforming { .. } | RowOutcome::Flagged { .. } => {
-                            self.data.distinct(input_index).tokenized().clone()
+                            self.data.distinct(input_index).tokens().to_tokenized()
                         }
                         // Transformed rows match the target; derive. (The
                         // fallback covers an output a repaired program sent

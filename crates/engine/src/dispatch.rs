@@ -35,16 +35,18 @@
 //!
 //! The argument above is a statement about leaves, not about *when* the
 //! leaf was computed. `clx-column` caches each distinct value's leaf when
-//! it interns the value, by calling the very same
-//! [`clx_pattern::tokenize`] — `tokenize_detailed` is tested to agree with
-//! `tokenize` token-for-token — so a cached leaf is exactly the leaf the
-//! executor would have derived itself, and every conclusion drawn from it
-//! (which branch fires, where the splits fall) carries over unchanged. If
-//! the tokenizer's class rules (`precise_class`, the ASCII-only
-//! `contains_char`) ever change, the column cache and the executor move
-//! together because both delegate to `clx-pattern`; what would break the
-//! argument is caching leaves produced by *different* rules, which is why
-//! the executor debug-asserts each leaf against a fresh tokenization.
+//! it interns the value: [`clx_pattern::scan_leaf`] runs the very scan
+//! [`clx_pattern::tokenize`] runs, and the leaf pattern is decoded from its
+//! signature once per distinct leaf (the two are tested to agree
+//! token-for-token, and leaf-ids to coincide exactly with `tokenize`
+//! equality), so a cached leaf is exactly the leaf the executor would have
+//! derived itself, and every conclusion drawn from it (which branch fires,
+//! where the splits fall) carries over unchanged. If the tokenizer's class
+//! rules (the ASCII-only leaf classes, `contains_char`) ever change, the
+//! column cache and the executor move together because both delegate to
+//! `clx-pattern`; what would break the argument is caching leaves produced
+//! by *different* rules, which is why the executor debug-asserts each leaf
+//! against a fresh tokenization.
 //!
 //! ## Integer leaf-ids
 //!

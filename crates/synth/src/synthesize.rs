@@ -176,7 +176,7 @@ fn eval_on_distinct(
     value: clx_column::DistinctValue<'_>,
 ) -> Result<String, clx_unifi::EvalError> {
     if pattern == value.leaf() {
-        eval_expr_on_slices(expr, value.token_slices())
+        eval_expr_on_slices(expr, value.tokens())
     } else {
         eval_expr(expr, pattern, value.text())
     }
@@ -633,7 +633,7 @@ mod tests {
                     if value.leaf() != &source.pattern {
                         continue;
                     }
-                    let cached = eval_expr_on_slices(&plan.expr, value.token_slices()).unwrap();
+                    let cached = eval_expr_on_slices(&plan.expr, value.tokens()).unwrap();
                     let fresh = eval_expr(&plan.expr, &source.pattern, value.text()).unwrap();
                     assert_eq!(cached, fresh);
                 }

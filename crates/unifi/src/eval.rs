@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use clx_pattern::{Pattern, PatternError};
+use clx_pattern::{Pattern, PatternError, TokenView};
 
 use crate::ast::{Branch, Expr, Program, StringExpr};
 
@@ -128,33 +128,42 @@ impl TransformOutcome {
 /// `source_pattern`.
 pub fn eval_expr(expr: &Expr, source_pattern: &Pattern, input: &str) -> Result<String, EvalError> {
     let slices = source_pattern.split(input)?;
-    eval_expr_on_slices(expr, &slices)
+    eval_parts(expr, slices.len(), |from, to| {
+        &input[slices[from].start..slices[to].end]
+    })
 }
 
-/// Evaluate an atomic transformation plan against a string already split
-/// into per-token slices (for example the cached token stream a
+/// Evaluate an atomic transformation plan against a string already
+/// tokenized by its source pattern (for example the cached token stream a
 /// `clx-column` `Column` carries per distinct value, when the source
 /// pattern is the value's leaf pattern). Skips the pattern split entirely.
-pub fn eval_expr_on_slices(
+pub fn eval_expr_on_slices(expr: &Expr, tokens: TokenView<'_>) -> Result<String, EvalError> {
+    eval_parts(expr, tokens.len(), |from, to| {
+        &tokens.text()[tokens.range(from).start..tokens.range(to).end]
+    })
+}
+
+/// Evaluate `expr` over a string of `len` tokens; `span(i, j)` is the text
+/// covered by the zero-based tokens `i..=j`.
+fn eval_parts<'s>(
     expr: &Expr,
-    slices: &[clx_pattern::TokenSlice],
+    len: usize,
+    span: impl Fn(usize, usize) -> &'s str,
 ) -> Result<String, EvalError> {
     let mut out = String::new();
     for part in &expr.parts {
         match part {
             StringExpr::ConstStr(s) => out.push_str(s),
             StringExpr::Extract { from, to } => {
-                if let Some(rule) = extract_bounds_violation(*from, *to, slices.len()) {
+                if let Some(rule) = extract_bounds_violation(*from, *to, len) {
                     return Err(EvalError::ExtractOutOfBounds {
                         from: *from,
                         to: *to,
-                        pattern_len: slices.len(),
+                        pattern_len: len,
                         rule,
                     });
                 }
-                for slice in &slices[from - 1..*to] {
-                    out.push_str(&slice.text);
-                }
+                out.push_str(span(from - 1, to - 1));
             }
         }
     }

@@ -17,8 +17,8 @@ fn assert_byte_identical(a: &Column, b: &Column) {
         assert_eq!(va.leaf(), vb.leaf());
         assert_eq!(va.leaf_id(), vb.leaf_id());
         assert_eq!(
-            va.tokenized().slices.len(),
-            vb.tokenized().slices.len(),
+            va.tokens(),
+            vb.tokens(),
             "cached token streams must match on {}",
             va.text()
         );

@@ -18,10 +18,16 @@
 //! Measured on this container (adversarial all-distinct stream, budget
 //! `max_distinct(10_000)`, 10k-row chunks):
 //!
-//! * release, 1M rows:  estimate 16.9 MB vs allocator peak delta 21.1 MB
-//!   — ratio (actual/estimate) 1.25;
-//! * debug, 200k rows:  identical peaks, ratio 1.25 (memory is flat once
+//! * release, 1M rows:  estimate 5.1 MB vs allocator peak delta 8.0 MB
+//!   — ratio (actual/estimate) 1.57;
+//! * debug, 200k rows:  identical peaks, ratio 1.57 (memory is flat once
 //!   the budget binds, so stream length does not move either number).
+//!
+//! The interner stores a value as its arena span, leaf-id and token end
+//! offsets, so the retained state the estimate models is small next to
+//! the unmodelled per-chunk input and report: the ratio is above the
+//! 1.25 measured when every value kept an owned tokenization (estimate
+//! 16.9 MB, allocator 21.1 MB), while the absolute gap shrank.
 //!
 //! The test asserts the ratio stays in `[1.0, 3.0]`: the model may never
 //! *over*-state what the allocator saw (it skips real overheads, so
@@ -145,7 +151,7 @@ fn peak_memory_estimate_tracks_the_allocator() {
         ratio >= 1.0,
         "estimate {estimate} B exceeds allocator-observed peak {actual_peak} B"
     );
-    // …and stays within 3x of it (measured ~1.2–1.3 here; 3x leaves room
+    // …and stays within 3x of it (measured ~1.6 here; 3x leaves room
     // for allocator/platform variance without letting the model drift
     // into fiction).
     assert!(

@@ -28,14 +28,15 @@
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use clx::engine::Decision;
 use clx::pattern::automaton::MultiPatternAutomaton;
-use clx::pattern::{tokenize, Quantifier, TokenSlice};
+use clx::pattern::{tokenize, tokenize_detailed, Quantifier, TokenSlice, TokenView};
 use clx::unifi::{Branch, Expr, Program, StringExpr};
 use clx::{
-    Column, ColumnBuilder, ColumnStream, CompiledProgram, InMemorySink, MetricSink, NoopSink,
-    Pattern, RowOutcome, StreamBudget, Token, TokenClass,
+    Column, ColumnBuilder, ColumnInterner, ColumnStream, CompiledProgram, InMemorySink, MetricSink,
+    NoopSink, Pattern, RowOutcome, StreamBudget, Token, TokenClass,
 };
 
 /// The phone-rewrite program every streaming test in the workspace uses:
@@ -271,8 +272,150 @@ proptest! {
             prop_assert_eq!(a.text(), b.text());
             prop_assert_eq!(a.leaf(), b.leaf());
             prop_assert_eq!(a.leaf_id(), b.leaf_id());
-            prop_assert_eq!(a.token_slices().len(), b.token_slices().len());
+            prop_assert_eq!(a.tokens(), b.tokens());
             prop_assert_eq!(a.multiplicity(), b.multiplicity());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Token streams: every route a value can take into the interner stores the
+// token stream `tokenize_detailed` computes, and leaf-ids follow `tokenize`.
+// ---------------------------------------------------------------------------
+
+/// Characters that probe the byte scan: leaf classes, separators, NUL, and
+/// non-ASCII letters and digits (which must stay literals).
+fn scan_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        proptest::char::range('a', 'c'),
+        proptest::char::range('X', 'Z'),
+        proptest::char::range('0', '2'),
+        Just('-'),
+        Just(' '),
+        Just('\0'),
+        Just('é'),
+        Just('ß'),
+        Just('٣'),
+        Just('Ａ'),
+        Just('１'),
+        Just('€'),
+        Just('𝟘'),
+    ]
+}
+
+/// Adversarial values: empty, NUL, short mixed strings over [`scan_char`]
+/// (which often share a leaf), runs of ~100k characters of one class
+/// between mixed affixes, and runs of up to 40 characters (across the
+/// first signature packing boundary, 32).
+fn adversarial_value() -> impl Strategy<Value = String> {
+    let mixed = || {
+        proptest::collection::vec(scan_char(), 0..8).prop_map(|c| c.into_iter().collect::<String>())
+    };
+    prop_oneof![
+        Just(String::new()),
+        Just("\0".to_string()),
+        mixed(),
+        mixed(),
+        (0..3usize, 99_990..100_010usize, mixed()).prop_map(|(class, len, affix)| {
+            let run = ['7', 'q', 'Q'][class].to_string().repeat(len);
+            format!("{affix}{run}{affix}")
+        }),
+        (0..40usize, mixed()).prop_map(|(len, affix)| format!("{}{affix}", "z".repeat(len))),
+    ]
+}
+
+/// The stored token stream of `text` equals `tokenize_detailed(text)`: the
+/// leaf pattern, every slice text and every byte range.
+fn check_tokens(view: TokenView<'_>, text: &str) -> Result<(), TestCaseError> {
+    let expected = tokenize_detailed(text);
+    let expected = expected.view();
+    prop_assert_eq!(view.text(), text);
+    prop_assert_eq!(view.pattern(), expected.pattern());
+    let slices: Vec<&str> = view.slices().collect();
+    let expected_slices: Vec<&str> = expected.slices().collect();
+    prop_assert_eq!(slices, expected_slices);
+    let ranges: Vec<_> = (0..view.len()).map(|i| view.range(i)).collect();
+    let expected_ranges: Vec<_> = (0..expected.len()).map(|i| expected.range(i)).collect();
+    prop_assert_eq!(ranges, expected_ranges);
+    Ok(())
+}
+
+/// Among the live `ids` of `interner`, two share a leaf-id exactly when
+/// `tokenize` gives their values equal patterns.
+fn check_leaf_ids(interner: &ColumnInterner, ids: &[u32]) -> Result<(), TestCaseError> {
+    for &a in ids {
+        for &b in ids {
+            let same_leaf = interner.leaf_id(a) == interner.leaf_id(b);
+            let same_pattern = tokenize(interner.value(a)) == tokenize(interner.value(b));
+            prop_assert!(
+                same_leaf == same_pattern,
+                "leaf-ids {} for {:?} vs {:?}",
+                if same_leaf { "shared" } else { "differ" },
+                interner.value(a),
+                interner.value(b)
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `intern`, `intern_owned`, the builder with one and two shards, and
+    /// a bounded interner recycling slots all store exactly the token
+    /// stream `tokenize_detailed` computes, and assign leaf-ids exactly by
+    /// `tokenize` equality.
+    #[test]
+    fn interned_token_streams_equal_tokenize_detailed(
+        values in proptest::collection::vec(adversarial_value(), 1..10),
+        chunk in 1..4usize,
+    ) {
+        let mut borrowed = ColumnInterner::new();
+        let mut owned = ColumnInterner::new();
+        let mut ids = Vec::new();
+        for value in &values {
+            let id = borrowed.intern(value);
+            prop_assert_eq!(owned.intern_owned(value.clone()), id);
+            check_tokens(borrowed.tokens(id), value)?;
+            check_tokens(owned.tokens(id), value)?;
+            ids.push(id);
+        }
+        check_leaf_ids(&borrowed, &ids)?;
+        check_leaf_ids(&owned, &ids)?;
+
+        for shards in [1, 2] {
+            let column = ColumnBuilder::new().shards(shards).build(values.clone());
+            for distinct in column.distinct_values() {
+                check_tokens(distinct.tokens(), distinct.text())?;
+            }
+            for a in column.distinct_values() {
+                for b in column.distinct_values() {
+                    prop_assert_eq!(
+                        a.leaf_id() == b.leaf_id(),
+                        tokenize(a.text()) == tokenize(b.text())
+                    );
+                }
+            }
+        }
+
+        // A budget of two distinct values evicts at every chunk boundary
+        // past the first, so later values land in recycled slots and
+        // recycled leaf-ids.
+        let mut bounded = ColumnInterner::with_budget(StreamBudget::max_distinct(2));
+        for rows in values.chunks(chunk) {
+            let chunk = bounded.chunk(rows);
+            let interner = chunk.interner();
+            for (row, &local) in chunk.row_map().iter().enumerate() {
+                let id = chunk.distinct_ids()[local as usize];
+                check_tokens(interner.tokens(id), &rows[row])?;
+            }
+            check_leaf_ids(interner, chunk.distinct_ids())?;
+        }
+        // Re-interning every value after the evictions still agrees.
+        for value in &values {
+            let id = bounded.intern(value);
+            check_tokens(bounded.tokens(id), value)?;
         }
     }
 }
