@@ -1,6 +1,7 @@
 //! Throughput of the `clx-engine` batch subsystem on 100k-row generated
-//! phone columns: the sequential session `apply` against the two compiled
-//! entry points.
+//! phone columns: the interpreter oracle deciding every row on its own
+//! (`sequential_apply` — what the session's `apply` did before it ran the
+//! engine) against the two compiled entry points.
 //!
 //! * `execute` takes raw `&[String]` rows: it builds a column through the
 //!   sharded `ColumnBuilder` (dedup + tokenize once per distinct value),
@@ -23,6 +24,7 @@ use std::hint::black_box;
 use clx_column::Column;
 use clx_core::{ClxSession, TransformReport};
 use clx_datagen::{duplicate_heavy_case, large_case};
+use clx_engine::RowOutcome;
 use clx_pattern::tokenize;
 
 const ROWS: usize = 100_000;
@@ -54,17 +56,20 @@ fn bench_batch_engine(c: &mut Criterion) {
         .label(tokenize("734-422-8073"))
         .expect("label");
     let compiled = session.compile().expect("compile");
+    let (program, target) = (session.program(), session.target().clone());
+    let oracle = |rows: &[String]| {
+        let outcomes = rows
+            .iter()
+            .map(|row| RowOutcome::interpreted(&program, &target, row))
+            .collect();
+        TransformReport::from_row_outcomes(target.clone(), outcomes)
+    };
 
     group.throughput(Throughput::Elements(all_distinct.len() as u64));
     group.bench_with_input(
         BenchmarkId::new("sequential_apply", "all_distinct"),
-        &session,
-        |b, session| {
-            b.iter(|| {
-                let report = session.apply().expect("apply");
-                black_box(report.transformed_count())
-            })
-        },
+        &all_distinct,
+        |b, data| b.iter(|| black_box(oracle(data).transformed_count())),
     );
 
     for (name, data) in [
@@ -98,11 +103,12 @@ fn bench_batch_engine(c: &mut Criterion) {
 
     group.finish();
 
-    // Sanity: the interpreted and compiled paths agree on this workload (a
-    // benchmark of a wrong answer would be worthless).
-    let sequential = session.apply().expect("apply");
+    // Sanity: the compiled paths agree with the interpreter oracle on this
+    // workload (a benchmark of a wrong answer would be worthless).
+    let sequential = oracle(&all_distinct);
     let compiled_report = TransformReport::from_batch(compiled.execute(&all_distinct));
     assert_eq!(sequential, compiled_report);
+    assert_eq!(sequential, session.apply().expect("apply"));
 }
 
 criterion_group!(benches, bench_batch_engine);

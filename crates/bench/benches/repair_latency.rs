@@ -3,25 +3,27 @@
 //! The interactive loop's worst moment is the click after a repair: the
 //! user changed *one* cluster's plan and wants the verification view
 //! back. Without incremental re-verification the session re-runs
-//! `apply()` — one interpreted branch-by-branch decision per distinct
-//! value, every distinct, every click. `reverify(&report)` instead diffs
-//! old vs new program (`ProgramDelta`), and patches the previous report
-//! in place, re-deciding **only the distincts the changed branch can
-//! affect**.
+//! `apply()` — a compiled columnar decision for every distinct, every
+//! click (before `apply` ran the engine, it was one *interpreted*
+//! branch-by-branch decision per distinct). `reverify(&report)` instead
+//! diffs old vs new program (`ProgramDelta`), and patches the previous
+//! report in place, re-deciding **only the distincts the changed branch
+//! can affect**.
 //!
-//! The workload is the issue's shape: a 1M-row column with 10,000
+//! The workload: a 1M-row column with 10,000
 //! distinct values spread over 16 source formats (date-like
 //! `dd SEP dd SEP yyyy` with 16 different separators, 625 distincts per
 //! format), labelled to the dashed target. The "repair" re-plans the
 //! slash-format cluster only, so exactly 625 of 10,000 distincts are
 //! affected.
 //!
-//! Session-level (the user-facing loop, and the ≥10x claim):
+//! Session-level (the user-facing loop):
 //!
 //! * **session_full_apply** — `ClxSession::apply()` under the repaired
-//!   program: interpreted evaluation of all 10,000 distincts;
+//!   program: compile, then a columnar decision of all 10,000 distincts;
 //! * **session_reverify** — `ClxSession::reverify(&baseline)`: compile
-//!   both programs, diff, clone the baseline report, patch 625 outcomes.
+//!   the new program, diff it against the report's recorded compiled
+//!   program, clone the baseline report, patch 625 outcomes.
 //!
 //! Engine-level (secondary: how the *self-contained* patch — no column,
 //! so it must re-tokenize stored values to screen them — compares to the
@@ -33,41 +35,38 @@
 //! * **engine_delta_only** — just the program diff (greedy branch
 //!   matching + the `clx-analyze` reachability intersection).
 //!
-//! Numbers from this container (1 CPU, `cargo bench --bench
-//! repair_latency`, release profile):
+//! Outside criterion, best of 3 each, the bench prints two ratios:
 //!
-//! ```text
-//! repair_latency/session_full_apply/1000000     54.0 ms/iter  (10,000 distincts, interpreted)
-//! repair_latency/session_reverify/1000000        3.5 ms/iter  (625 distincts re-decided)
-//! repair_latency/engine_full_recompute/1000000   1.4 ms/iter  (10,000 distincts, compiled+cached)
-//! repair_latency/engine_patch/1000000            6.5 ms/iter  (self-contained: re-tokenizes)
-//! repair_latency/engine_delta_only/1000000       2.3 ms/iter  (mostly reachability analysis)
-//! ```
+//! * the interpreter re-deciding every distinct value
+//!   (`RowOutcome::interpreted`, exactly what the interpreted `apply`
+//!   did) vs `reverify` — gated at >=10x: the incremental loop must stay
+//!   an order of magnitude cheaper than re-interpreting the column;
+//! * compiled `apply` vs `reverify` — printed, not gated. At this shape
+//!   (16 leaf signatures, warm dense plans) `reverify` is *slower* than a
+//!   compiled re-run: the diff's reachability analysis plus the
+//!   per-outcome leaf screen cost more than re-deciding 10k cached
+//!   distincts. The patch wins where a re-run is not an option: a live
+//!   stream (`swap_program`) invalidates by the same delta without
+//!   re-running anything.
 //!
-//! Honest reading: against the *interpreted* full apply the user would
-//! otherwise re-run, `reverify` came in 16.7x faster on the measured run
-//! (best of 3 each), and the gap is structural — `reverify` rides
-//! `patch_columnar`, whose cost is an integer-memoized leaf screen per
-//! stored outcome plus an actual re-decide per *affected* distinct, so
-//! it scales with the repair's blast radius. Against the engine's
-//! compiled columnar re-run the patch is *not* faster at this shape (16
-//! leaf signatures, warm dense plans: the full re-run is leaf-id
-//! indexing + eval, and even the diff's reachability analysis costs more
-//! than re-running 10k cached distincts) — the win there is the stream
-//! path (`swap_program`), which invalidates by the same delta without
-//! re-running anything. Row count is irrelevant to every variant (the
-//! row map is shared, never rewritten): at 1M rows a naive per-row
-//! re-run would be another ~100x on top of full_apply.
+//! On a 2-core host (`cargo bench --bench repair_latency`, release): the
+//! interpreter re-decide took 82.0 ms, compiled `apply` 2.1 ms and
+//! `reverify` 4.7 ms (17.3x and 0.45x).
+//!
+//! Row count is irrelevant to every variant (the row map is shared, never
+//! rewritten): at 1M rows a naive per-row re-run would be another ~100x
+//! on top of the interpreted re-decide.
 //!
 //! The sanity block (outside timing) asserts the claims the bench exists
-//! to make: the re-verified report equals a fresh full apply row-for-row,
-//! and `engine.delta.distincts_redecided` is exactly the affected
-//! format's distinct count — no silent over-re-deciding.
+//! to make: the re-verified report equals a fresh full apply and the
+//! interpreter oracle row-for-row, and `engine.delta.distincts_redecided`
+//! is exactly the affected format's distinct count — no silent
+//! over-re-deciding.
 //!
 //! `CLX_BENCH_SMOKE=1` shrinks the workload (~20k rows, ~1k distincts) so
 //! CI can execute the binary end to end; smoke numbers are not comparable
-//! to the table, and the ≥10x ratio assertion is skipped (too noisy at
-//! that size).
+//! to the ones above, and the ≥10x ratio assertion is skipped (too noisy
+//! at that size).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -75,8 +74,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clx_column::Column;
-use clx_core::{ClxOptions, ClxSession};
-use clx_engine::{CompiledProgram, ProgramDelta};
+use clx_core::{ClxOptions, ClxSession, Labelled};
+use clx_engine::{CompiledProgram, ProgramDelta, RowOutcome};
 use clx_pattern::{parse_pattern, Pattern};
 use clx_telemetry::{InMemorySink, MetricSink};
 use clx_unifi::{Branch, Expr, Program, StringExpr};
@@ -132,6 +131,18 @@ fn rows(rows: usize, per_format: usize) -> Vec<String> {
         .collect()
 }
 
+/// The interpreter re-deciding every distinct value of the session's
+/// column under its current program — the work the interpreted `apply`
+/// did on every click.
+fn interpreted_outcomes(session: &ClxSession<Labelled>) -> Vec<RowOutcome> {
+    let (program, target) = (session.program(), session.target());
+    session
+        .data()
+        .distinct_values()
+        .map(|value| RowOutcome::interpreted(&program, target, value.text()))
+        .collect()
+}
+
 /// Best-of-3 wall time, outside criterion: the ratio assertion needs raw
 /// durations, not criterion's report.
 fn best_of_3(mut f: impl FnMut()) -> Duration {
@@ -182,6 +193,10 @@ fn bench_repair_latency(c: &mut Criterion) {
             reverified == fresh,
             "re-verified report must equal a fresh full apply row-for-row"
         );
+        assert!(
+            fresh.distinct_outcomes() == interpreted_outcomes(&session).as_slice(),
+            "a fresh apply must equal the interpreter oracle"
+        );
         let redecided = sink
             .snapshot()
             .counter("engine.delta.distincts_redecided")
@@ -195,24 +210,35 @@ fn bench_repair_latency(c: &mut Criterion) {
             baseline.distinct_outcomes().len(),
         );
 
-        // The structural claim, measured: reverify beats the full apply the
-        // user would otherwise re-run by >=10x (best of 3 each; skipped in
-        // smoke mode where the workload is too small to time reliably).
+        // The structural claim, measured: reverify beats re-interpreting
+        // every distinct by >=10x (best of 3 each; skipped in smoke mode
+        // where the workload is too small to time reliably). Its standing
+        // against the compiled re-run is printed, not gated.
         if !smoke() {
+            let interpreted_time = best_of_3(|| {
+                black_box(interpreted_outcomes(&session));
+            });
             let apply_time = best_of_3(|| {
                 black_box(session.apply().expect("apply"));
             });
             let reverify_time = best_of_3(|| {
                 black_box(session.reverify(&baseline).expect("reverify"));
             });
+            let ratio = |over: Duration| over.as_secs_f64() / reverify_time.as_secs_f64();
             println!(
-                "repair ratio: full apply {apply_time:?} vs reverify {reverify_time:?} ({:.1}x)",
-                apply_time.as_secs_f64() / reverify_time.as_secs_f64()
+                "repair ratio: interpreted re-decide {interpreted_time:?} vs reverify \
+                 {reverify_time:?} ({:.1}x)",
+                ratio(interpreted_time)
+            );
+            println!(
+                "repair ratio: compiled apply {apply_time:?} vs reverify {reverify_time:?} \
+                 ({:.2}x, ungated)",
+                ratio(apply_time)
             );
             assert!(
-                apply_time >= 10 * reverify_time,
-                "reverify must be >=10x faster than a full apply \
-                 (apply {apply_time:?}, reverify {reverify_time:?})"
+                interpreted_time >= 10 * reverify_time,
+                "reverify must be >=10x faster than re-interpreting every distinct \
+                 (interpreted {interpreted_time:?}, reverify {reverify_time:?})"
             );
         }
     }

@@ -19,16 +19,15 @@
 //!   Calling one before labelling is a compile error, not a runtime `Err` —
 //!   the strongest form of the paper's verifiability protocol.
 //!
-//! Dynamic callers (REPLs, services) hold an [`AnySession`] and match on
-//! the phase at their boundary.
-//!
-//! Applying a program produces a **columnar** [`TransformReport`]: one
+//! Every transform runs on the `clx-engine` compiled columnar path:
+//! [`ClxSession::apply`] compiles the program and executes it over the
+//! interned column, producing a **columnar** [`TransformReport`] — one
 //! [`RowOutcome`] per *distinct* value plus the column's shared row map, so
 //! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
-//! execution beyond the interactive loop, [`ClxSession::compile`] hands the
-//! program to the `clx-engine` batch subsystem (interned columnar execution,
-//! streaming, program caching); [`ClxSession::apply_parallel`] is the
-//! drop-in engine-backed counterpart of [`ClxSession::apply`].
+//! execution beyond the interactive loop, [`ClxSession::compile`] hands out
+//! the same compiled program (execution over other columns, streaming,
+//! program caching). The UniFi interpreter ([`RowOutcome::interpreted`]) is
+//! the executable specification the engine is tested against.
 //!
 //! ```
 //! use clx_core::ClxSession;
@@ -65,9 +64,7 @@ mod session;
 
 pub use preview::{PreviewRow, PreviewTable};
 pub use report::{RowOutcome, TransformReport};
-pub use session::{
-    AnySession, Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, Phase,
-};
+pub use session::{Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, Phase};
 
 // Re-export the key types a downstream user needs so that `clx-core` (or the
 // `clx` facade) is a one-stop dependency.

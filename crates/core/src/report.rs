@@ -9,10 +9,10 @@
 //! [`TransformReport::row`], [`TransformReport::values`]) remain
 //! row-for-row identical to the old one-outcome-per-row report.
 
-use clx_column::Column;
-use clx_engine::{BatchReport, ChunkReport, RowOutcomes};
+use std::sync::Arc;
+
+use clx_engine::{BatchReport, ChunkReport, CompiledProgram, RowOutcomes};
 use clx_pattern::Pattern;
-use clx_unifi::Program;
 
 pub use clx_engine::RowOutcome;
 
@@ -21,13 +21,15 @@ pub use clx_engine::RowOutcome;
 #[derive(Debug, Clone)]
 pub struct TransformReport {
     batch: BatchReport,
-    /// The UniFi program that produced the outcomes, recorded by the
-    /// session's apply paths so [`ClxSession::reverify`] can later diff it
-    /// against the session's current (possibly repaired) program. `None`
-    /// for reports assembled outside a session.
+    /// The compiled program that produced the outcomes, recorded by
+    /// [`ClxSession::apply`] and [`ClxSession::reverify`] so a later
+    /// `reverify` can diff it against the session's current (possibly
+    /// repaired) program without recompiling it. `None` for reports
+    /// assembled outside a session.
     ///
+    /// [`ClxSession::apply`]: crate::ClxSession::apply
     /// [`ClxSession::reverify`]: crate::ClxSession::reverify
-    provenance: Option<Program>,
+    provenance: Option<Arc<CompiledProgram>>,
 }
 
 impl TransformReport {
@@ -38,16 +40,6 @@ impl TransformReport {
     pub fn from_batch(batch: BatchReport) -> Self {
         TransformReport {
             batch,
-            provenance: None,
-        }
-    }
-
-    /// Build a columnar report: `outcomes[k]` is the decision for the
-    /// `k`-th distinct value of `column`. O(distinct): the row map is
-    /// shared with the column, not copied.
-    pub fn columnar(target: Pattern, outcomes: Vec<RowOutcome>, column: &Column) -> Self {
-        TransformReport {
-            batch: BatchReport::columnar(target, outcomes, column),
             provenance: None,
         }
     }
@@ -66,16 +58,16 @@ impl TransformReport {
         }
     }
 
-    /// The program that produced this report, when it was produced by a
-    /// session apply path; `None` for hand-assembled reports. This is what
+    /// The compiled program that produced this report, when a session
+    /// produced it; `None` for hand-assembled reports. This is what
     /// [`ClxSession::reverify`](crate::ClxSession::reverify) diffs the
     /// current program against.
-    pub fn provenance(&self) -> Option<&Program> {
-        self.provenance.as_ref()
+    pub fn provenance(&self) -> Option<&CompiledProgram> {
+        self.provenance.as_deref()
     }
 
-    /// Record the program that produced this report.
-    pub(crate) fn set_provenance(&mut self, program: Program) {
+    /// Record the compiled program that produced this report.
+    pub(crate) fn set_provenance(&mut self, program: Arc<CompiledProgram>) {
         self.provenance = Some(program);
     }
 
@@ -185,6 +177,7 @@ impl Eq for TransformReport {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clx_column::Column;
     use clx_pattern::tokenize;
 
     fn report() -> TransformReport {
@@ -280,7 +273,7 @@ mod tests {
     fn columnar_and_row_reports_compare_equal() {
         // Same logical rows, different storage: equality is by row.
         let column = Column::from_values(&["a-1", "N/A", "a-1"]);
-        let columnar = TransformReport::columnar(
+        let columnar = TransformReport::from_batch(BatchReport::columnar(
             tokenize("a-1"),
             vec![
                 RowOutcome::Conforming {
@@ -291,7 +284,7 @@ mod tests {
                 },
             ],
             &column,
-        );
+        ));
         let per_row = TransformReport::from_row_outcomes(
             tokenize("a-1"),
             vec![

@@ -15,9 +15,12 @@
 //! [`explanation`]: ClxSession::explanation
 //! [`repair`]: ClxSession::repair
 //!
-//! Dynamic callers that cannot pin the phase at compile time (a REPL loop,
-//! a service holding many sessions) use the type-erased [`AnySession`]
-//! enum and match on the phase at their boundary.
+//! Every transform the session runs — [`apply`], the result-pattern view,
+//! the explanation check, [`reverify`] and streams — executes the compiled
+//! columnar engine (`clx-engine`). The UniFi interpreter is kept only as
+//! the oracle the tests compare against.
+//!
+//! [`reverify`]: ClxSession::reverify
 
 use std::collections::HashMap;
 use std::fmt;
@@ -31,7 +34,7 @@ use clx_engine::{ColumnStream, CompiledProgram};
 use clx_pattern::{tokenize, tokenize_detailed, Pattern, SplitTokenizer, TokenizedString};
 use clx_synth::{synthesize_column, RankedPlan, Synthesis, SynthesisOptions};
 use clx_telemetry::{MetricSink, Span};
-use clx_unifi::{explain_program, transform_lenient, Explanation, Program};
+use clx_unifi::{explain_program, Explanation, Program};
 
 use crate::report::{RowOutcome, TransformReport};
 
@@ -49,9 +52,6 @@ pub enum ClxError {
     /// Evaluating the program failed; this indicates a synthesizer bug, not
     /// bad input data.
     Eval(String),
-    /// Compiling the program for batch execution failed; this indicates an
-    /// ill-formed program (see `clx-engine`), not bad input data.
-    Compile(String),
     /// Strict compilation rejected the program: the static analyzer
     /// ([`clx_analyze`]) proved an `Error`-severity defect (dead branch,
     /// shadowed branch, or unsafe `Extract`) before any row ran.
@@ -68,7 +68,6 @@ impl fmt::Display for ClxError {
             ClxError::EmptyTargetPattern => write!(f, "the target pattern is empty"),
             ClxError::Explain(e) => write!(f, "failed to explain program: {e}"),
             ClxError::Eval(e) => write!(f, "failed to evaluate program: {e}"),
-            ClxError::Compile(e) => write!(f, "failed to compile program: {e}"),
             ClxError::Analysis(e) => write!(f, "program rejected by static analysis: {e}"),
             ClxError::MissingProvenance => {
                 write!(f, "the report records no originating program to re-verify")
@@ -405,40 +404,29 @@ impl ClxSession<Labelled> {
     /// O(affected-distincts) path (ROADMAP item 5).
     ///
     /// The report must carry provenance (be a product of
-    /// [`ClxSession::apply`] or [`ClxSession::apply_parallel`]);
-    /// otherwise [`ClxError::MissingProvenance`] is returned. Both the
-    /// originating and the current program are compiled, a
-    /// [`ProgramDelta`] is built between them, and a clone of the report
-    /// is patched in place: distinct values the delta proves unaffected
-    /// keep their stored outcome verbatim, everything else is re-decided
-    /// through the new program. The result is row-for-row equal to a
-    /// fresh [`ClxSession::apply`] — at a cost proportional to the number
-    /// of *affected* distincts, not the number of rows.
+    /// [`ClxSession::apply`] or of `reverify`); otherwise
+    /// [`ClxError::MissingProvenance`] is returned. The current program is
+    /// compiled, a [`ProgramDelta`] is built between it and the compiled
+    /// program the report records, and a clone of the report is patched in
+    /// place: distinct values the delta proves unaffected keep their stored
+    /// outcome verbatim, everything else is re-decided through the new
+    /// program. The result is row-for-row equal to a fresh
+    /// [`ClxSession::apply`] — at a cost proportional to the number of
+    /// *affected* distincts, not the number of rows — and records the new
+    /// compiled program as its provenance.
     ///
     /// Under a session sink the step is timed as `core.phase.reverify_ns`
     /// and the delta publishes
     /// `engine.delta.{branches_changed,distincts_redecided,outcomes_patched}`.
-    ///
-    /// [`ClxError::Compile`] is returned when either program fails to
-    /// compile. The *originating* side can hit this because `apply` is
-    /// lenient: it will run an ill-formed program (skipping branches that
-    /// error per value) that the compiler rejects outright. Such reports
-    /// cannot be incrementally re-verified — re-run `apply` instead.
     pub fn reverify(&self, report: &TransformReport) -> Result<TransformReport, ClxError> {
         let _reverify = Span::start(self.telemetry.as_ref(), "core.phase.reverify_ns");
-        let old_program = report.provenance().ok_or(ClxError::MissingProvenance)?;
-        let old = CompiledProgram::compile_observed(
-            old_program,
-            report.target(),
-            self.telemetry.as_ref(),
-        )
-        .map_err(|e| ClxError::Compile(e.to_string()))?;
-        let new = self.compile()?;
-        let delta = ProgramDelta::between_observed(&old, &new, self.telemetry.as_ref());
+        let old = report.provenance().ok_or(ClxError::MissingProvenance)?;
+        let new = Arc::new(self.compile()?);
+        let delta = ProgramDelta::between_observed(old, &new, self.telemetry.as_ref());
         let mut batch = report.batch().clone();
         batch.patch_columnar_observed(&delta, &new, &self.data, self.telemetry.as_ref());
         let mut patched = TransformReport::from_batch(batch);
-        patched.set_provenance(self.program());
+        patched.set_provenance(new);
         Ok(patched)
     }
 
@@ -460,29 +448,32 @@ impl ClxSession<Labelled> {
 
     /// **Transform** phase: apply the current program to the whole column.
     ///
-    /// A program is a pure function of the row value, so each *distinct*
-    /// value is evaluated once; the report is columnar (it shares the
-    /// column's row map), making the whole step O(distinct) in time and
-    /// memory.
+    /// The program is compiled ([`ClxSession::compile`]) and run by the
+    /// columnar engine ([`CompiledProgram::execute_column`]): each
+    /// *distinct* value is decided once through its cached leaf signature,
+    /// dispatching on the dense integer leaf-ids the column's interner
+    /// assigned, so no row is re-tokenized and no pattern hashed. The
+    /// report is columnar (it shares the column's row map), making the
+    /// whole step O(distinct) in time and memory, and it records the
+    /// compiled program as its provenance for [`ClxSession::reverify`].
     ///
-    /// A branch whose expression fails to evaluate on some value (possible
-    /// only for programs repaired by hand into an ill-formed state) is
-    /// skipped for that value, exactly as the compiled engine's plan
-    /// interpreter skips it — `apply`, [`ClxSession::apply_parallel`] and
-    /// [`ClxSession::compile`] agree row for row; the worst case is a
-    /// `Flagged` outcome, never an aborted column.
+    /// A branch whose expression fails to evaluate (possible only for
+    /// programs repaired by hand into an ill-formed state) is skipped, as
+    /// the interpreter skips it: the worst case is a `Flagged` outcome,
+    /// never an aborted column.
     pub fn apply(&self) -> Result<TransformReport, ClxError> {
+        let compiled = Arc::new(self.compile()?);
         let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
-        let target = &self.phase.target;
-        let program = self.program();
-        let decided = self
-            .data
-            .distinct_values()
-            .map(|value| RowOutcome::interpreted(&program, target, value.text()))
-            .collect();
-        let mut report = TransformReport::columnar(target.clone(), decided, &self.data);
-        report.set_provenance(program);
+        let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
+        report.set_provenance(compiled);
         Ok(report)
+    }
+
+    /// The former name of [`ClxSession::apply`], from when `apply` ran the
+    /// interpreter and this ran the engine.
+    #[deprecated(note = "`apply` runs the compiled columnar engine; call it instead")]
+    pub fn apply_parallel(&self) -> Result<TransformReport, ClxError> {
+        self.apply()
     }
 
     /// Compile the current program for high-throughput batch execution.
@@ -491,8 +482,8 @@ impl ClxSession<Labelled> {
     /// can be cached (see [`clx_engine::ProgramCache`]), shared across
     /// threads, executed over other columns
     /// ([`CompiledProgram::execute`]), or streamed over columns larger than
-    /// memory ([`ColumnStream`]). Its semantics on any column are exactly
-    /// those of [`ClxSession::apply`].
+    /// memory ([`ColumnStream`]). It is what [`ClxSession::apply`] runs.
+    /// Compilation accepts every program, so this never returns `Err`.
     pub fn compile(&self) -> Result<CompiledProgram, ClxError> {
         let _compile = Span::start(self.telemetry.as_ref(), "core.phase.compile_ns");
         // Under a session sink the fused-automaton construction also
@@ -502,7 +493,7 @@ impl ClxSession<Labelled> {
             &self.phase.target,
             self.telemetry.as_ref(),
         )
-        .map_err(|e| ClxError::Compile(e.to_string()))
+        .map_err(|e| ClxError::Analysis(e.to_string()))
     }
 
     /// Statically analyze the current program against the labelled target
@@ -535,30 +526,7 @@ impl ClxSession<Labelled> {
             &self.phase.target,
             self.telemetry.as_ref(),
         )
-        .map_err(|e| match e {
-            clx_engine::CompileError::RejectedByAnalysis { .. } => {
-                ClxError::Analysis(e.to_string())
-            }
-            other => ClxError::Compile(other.to_string()),
-        })
-    }
-
-    /// [`ClxSession::apply`] through the compiled engine: same report,
-    /// produced by deciding each distinct value once via its cached leaf
-    /// signature ([`CompiledProgram::execute_column`], dispatching on the
-    /// dense integer leaf-ids the column's interner assigned) — compile +
-    /// execute of a session column never re-tokenizes a row and never
-    /// hashes a pattern, and the report shares the column's row map. The
-    /// column itself was built by the sharded [`ColumnBuilder`] (see
-    /// [`ClxSession::with_options`]), so on a multi-core host the whole
-    /// path from raw rows to report runs parallel. Sessions over large
-    /// columns should prefer this.
-    pub fn apply_parallel(&self) -> Result<TransformReport, ClxError> {
-        let compiled = self.compile()?;
-        let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
-        let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
-        report.set_provenance(self.program());
-        Ok(report)
+        .map_err(|e| ClxError::Analysis(e.to_string()))
     }
 
     /// Open a columnar ingest stream executing this session's program:
@@ -571,7 +539,7 @@ impl ClxSession<Labelled> {
     ///
     /// The stream owns its compiled program, so it is independent of the
     /// session's lifetime and can ingest columns the session never saw
-    /// (the semantics on any rows are exactly [`ClxSession::apply`]'s).
+    /// (it runs the same compiled program as [`ClxSession::apply`]).
     ///
     /// The returned stream retains O(distinct) state (interner + decision
     /// cache) and is meant for *trusted* input; for untrusted,
@@ -629,11 +597,12 @@ impl ClxSession<Labelled> {
     /// distinct patterns of the output column with their row counts, which
     /// is what the user verifies after the transformation.
     ///
-    /// The output column is assembled without re-tokenizing: conforming and
-    /// flagged outputs *are* their input values (cached token streams), and
-    /// transformed outputs match the labelled target, so their token
-    /// streams are derived from the target's split
-    /// ([`clx_pattern::SplitTokenizer`]).
+    /// The outcomes are [`ClxSession::apply`]'s, so the view shows what the
+    /// engine produced. The output column is assembled without
+    /// re-tokenizing: conforming and flagged outputs *are* their input
+    /// values (cached token streams), and transformed outputs match the
+    /// labelled target, so their token streams are derived from the
+    /// target's split ([`clx_pattern::SplitTokenizer`]).
     pub fn result_patterns(&self) -> Result<Vec<(Pattern, usize)>, ClxError> {
         let report = self.apply()?;
         // The positional indexing below relies on `apply` returning a
@@ -668,7 +637,10 @@ impl ClxSession<Labelled> {
                             .tokenize(to)
                             .unwrap_or_else(|| tokenize_detailed(to)),
                     };
-                    let k = out_values.len() as u32;
+                    // Outputs are deduplicated per distinct input, whose
+                    // count the column already holds in `u32`.
+                    let k = u32::try_from(out_values.len())
+                        .expect("output distinct count exceeds u32::MAX");
                     out_values.push(tokenized);
                     dedup.insert(text.to_string(), k);
                     k
@@ -691,183 +663,32 @@ impl ClxSession<Labelled> {
     }
 
     /// Cross-check that the explained `Replace` operations behave exactly
-    /// like the UniFi program on this session's data. Returns the number of
-    /// rows checked. This is the "what you read is what runs" guarantee the
-    /// paper's verifiability argument rests on.
+    /// like the program that runs: each non-conforming distinct value's
+    /// outcome in [`ClxSession::apply`]'s report must equal what the
+    /// explanation produces for it. Returns the number of rows checked.
+    /// This is the "what you read is what runs" guarantee the paper's
+    /// verifiability argument rests on.
     pub fn verify_explanation(&self) -> Result<usize, ClxError> {
-        let target = &self.phase.target;
-        let program = self.program();
         let explanation = self.explanation()?;
+        let report = self.apply()?;
         let mut checked = 0;
         // Both sides are pure functions of the value: checking each distinct
         // value once covers all of its duplicate rows.
-        for value in self.data.distinct_values() {
-            let text = value.text();
-            if target.matches(text) {
+        for (value, outcome) in self.data.distinct_values().zip(report.distinct_outcomes()) {
+            if outcome.is_conforming() {
                 continue;
             }
-            // Lenient, like `apply`: what runs is what is checked.
-            let via_dsl = transform_lenient(&program, text).value().to_string();
+            let text = value.text();
             let via_replace = explanation.apply(text);
-            if via_dsl != via_replace {
+            if outcome.value() != via_replace {
                 return Err(ClxError::Eval(format!(
-                    "explanation mismatch on {text:?}: DSL produced {via_dsl:?}, Replace produced {via_replace:?}"
+                    "explanation mismatch on {text:?}: the program produced {:?}, Replace produced {via_replace:?}",
+                    outcome.value()
                 )));
             }
             checked += value.multiplicity();
         }
         Ok(checked)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Type-erased sessions for dynamic callers.
-// ---------------------------------------------------------------------------
-
-/// A type-erased session for callers that cannot pin the phase at compile
-/// time — a REPL loop, a service holding a map of live sessions.
-///
-/// The phase discipline does not disappear: it is concentrated into the one
-/// `match` (or [`AnySession::as_labelled`]) at the dynamic boundary,
-/// instead of being re-checked inside every method.
-///
-/// ```
-/// use clx_core::{AnySession, ClxSession};
-///
-/// let mut session = AnySession::from(ClxSession::new(vec![
-///     "(734) 645-8397".to_string(),
-///     "734-422-8073".to_string(),
-/// ]));
-/// assert!(!session.is_labelled());
-/// session.label_by_example("734-422-8073").unwrap();
-/// let labelled = session.as_labelled().expect("just labelled");
-/// assert!(labelled.apply().unwrap().is_perfect());
-/// ```
-#[derive(Debug, Clone)]
-pub enum AnySession {
-    /// A session in the cluster phase.
-    Clustered(ClxSession<Clustered>),
-    /// A session in the transform phase.
-    Labelled(ClxSession<Labelled>),
-}
-
-impl From<ClxSession<Clustered>> for AnySession {
-    fn from(session: ClxSession<Clustered>) -> Self {
-        AnySession::Clustered(session)
-    }
-}
-
-impl From<ClxSession<Labelled>> for AnySession {
-    fn from(session: ClxSession<Labelled>) -> Self {
-        AnySession::Labelled(session)
-    }
-}
-
-impl AnySession {
-    /// Start a clustered session (see [`ClxSession::new`]).
-    pub fn new(data: Vec<String>) -> Self {
-        AnySession::Clustered(ClxSession::new(data))
-    }
-
-    /// The session's column, in any phase.
-    pub fn data(&self) -> &Column {
-        match self {
-            AnySession::Clustered(s) => s.data(),
-            AnySession::Labelled(s) => s.data(),
-        }
-    }
-
-    /// The pattern-cluster hierarchy, in any phase.
-    pub fn hierarchy(&self) -> &PatternHierarchy {
-        match self {
-            AnySession::Clustered(s) => s.hierarchy(),
-            AnySession::Labelled(s) => s.hierarchy(),
-        }
-    }
-
-    /// The pattern list shown to the user, in any phase.
-    pub fn patterns(&self) -> Vec<(Pattern, usize)> {
-        match self {
-            AnySession::Clustered(s) => s.patterns(),
-            AnySession::Labelled(s) => s.patterns(),
-        }
-    }
-
-    /// `true` when the session is in the transform phase.
-    pub fn is_labelled(&self) -> bool {
-        matches!(self, AnySession::Labelled(_))
-    }
-
-    /// The clustered session, if the label transition has not happened.
-    pub fn as_clustered(&self) -> Option<&ClxSession<Clustered>> {
-        match self {
-            AnySession::Clustered(s) => Some(s),
-            AnySession::Labelled(_) => None,
-        }
-    }
-
-    /// The labelled session — the gateway to every transform-phase method.
-    pub fn as_labelled(&self) -> Option<&ClxSession<Labelled>> {
-        match self {
-            AnySession::Clustered(_) => None,
-            AnySession::Labelled(s) => Some(s),
-        }
-    }
-
-    /// Mutable access to the labelled session (for [`ClxSession::repair`]).
-    pub fn as_labelled_mut(&mut self) -> Option<&mut ClxSession<Labelled>> {
-        match self {
-            AnySession::Clustered(_) => None,
-            AnySession::Labelled(s) => Some(s),
-        }
-    }
-
-    /// A throwaway empty session used to take ownership of `self` during
-    /// in-place phase transitions (profiling zero rows is trivial).
-    fn placeholder() -> AnySession {
-        AnySession::Clustered(ClxSession::from_column(
-            Column::default(),
-            ClxOptions::default(),
-        ))
-    }
-
-    /// Label (or re-label) in place: transitions the session to the
-    /// transform phase and returns the synthesis result.
-    pub fn label(&mut self, target: Pattern) -> Result<&Synthesis, ClxError> {
-        if target.is_empty() {
-            return Err(ClxError::EmptyTargetPattern);
-        }
-        let clustered = match std::mem::replace(self, Self::placeholder()) {
-            AnySession::Clustered(s) => s,
-            AnySession::Labelled(s) => s.unlabel(),
-        };
-        match clustered.label(target) {
-            Ok(labelled) => {
-                *self = AnySession::Labelled(labelled);
-                match self {
-                    AnySession::Labelled(s) => Ok(s.synthesis()),
-                    AnySession::Clustered(_) => unreachable!("just set"),
-                }
-            }
-            Err(LabelError { session, error }) => {
-                *self = AnySession::Clustered(*session);
-                Err(error)
-            }
-        }
-    }
-
-    /// [`AnySession::label`] from one example value in the desired format.
-    pub fn label_by_example(&mut self, example: &str) -> Result<&Synthesis, ClxError> {
-        self.label(tokenize(example))
-    }
-
-    /// Drop the label (if any) in place, returning to the cluster phase.
-    pub fn unlabel(&mut self) {
-        if let AnySession::Labelled(_) = self {
-            if let AnySession::Labelled(s) = std::mem::replace(self, Self::placeholder()) {
-                *self = AnySession::Clustered(s.unlabel());
-            }
-        }
     }
 }
 
@@ -1146,9 +967,8 @@ mod tests {
 
     /// Regression: `apply` used to abort the whole column with
     /// `ClxError::Eval` when any one distinct value hit an evaluation
-    /// error, while the compiled engine skipped the erroring branch for
-    /// that value and flagged the row. The two paths must agree: flag,
-    /// don't abort.
+    /// error. It must skip the erroring branch for that value and flag the
+    /// row, as the interpreter oracle does: flag, don't abort.
     #[test]
     fn apply_flags_instead_of_aborting_on_an_erroring_branch() {
         use clx_unifi::{Expr, StringExpr};
@@ -1160,6 +980,10 @@ mod tests {
             vec!["12/11/2017", "12-11-2017", "11-12-2017", "N/A"]
         );
         assert_eq!(report.flagged_values(), vec!["12/11/2017", "N/A"]);
+        let program = session.program();
+        for (row, outcome) in session.data().iter().zip(report.iter_rows()) {
+            assert_eq!(outcome, &RowOutcome::interpreted(&program, &target, row));
+        }
 
         // Differential check: skipping an always-erroring branch per value
         // is semantically removing it. The equivalent well-formed program
@@ -1285,11 +1109,20 @@ mod tests {
 
     #[test]
     fn apply_parallel_equals_apply() {
+        // `apply` is the engine; it must equal the interpreter oracle
+        // deciding every row on its own.
         let session = labelled(phone_data(), tokenize("734-422-8073"));
-        let sequential = session.apply().unwrap();
-        let parallel = session.apply_parallel().unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(parallel.flagged_values(), vec!["N/A"]);
+        let applied = session.apply().unwrap();
+        let (program, target) = (session.program(), session.target().clone());
+        let oracle = TransformReport::from_row_outcomes(
+            target.clone(),
+            phone_data()
+                .iter()
+                .map(|row| RowOutcome::interpreted(&program, &target, row))
+                .collect(),
+        );
+        assert_eq!(applied, oracle);
+        assert_eq!(applied.flagged_values(), vec!["N/A"]);
     }
 
     #[test]
@@ -1394,45 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn any_session_walks_the_phases_dynamically() {
-        let mut session = AnySession::new(phone_data());
-        assert!(!session.is_labelled());
-        assert!(session.as_clustered().is_some());
-        assert!(session.as_labelled().is_none());
-        assert_eq!(session.patterns().len(), 5);
-        assert_eq!(session.data().len(), 7);
-
-        // Labelling an empty target fails and leaves the phase unchanged.
-        assert_eq!(
-            session.label(Pattern::empty()).unwrap_err(),
-            ClxError::EmptyTargetPattern
-        );
-        assert!(!session.is_labelled());
-
-        session.label(tokenize("734-422-8073")).unwrap();
-        assert!(session.is_labelled());
-        let report = session.as_labelled().unwrap().apply().unwrap();
-        assert_eq!(report.flagged_count(), 1);
-
-        // Re-labelling in place re-synthesizes against the new target.
-        session.label_by_example("(734) 645-8397").unwrap();
-        assert_eq!(
-            session.as_labelled().unwrap().target(),
-            &tokenize("(734) 645-8397")
-        );
-
-        // Repair goes through the mutable accessor.
-        assert!(!session
-            .as_labelled_mut()
-            .unwrap()
-            .repair(&tokenize("zzz"), 0));
-
-        session.unlabel();
-        assert!(!session.is_labelled());
-        assert_eq!(session.hierarchy().total_rows(), 7);
-    }
-
-    #[test]
     fn observed_session_records_every_phase() {
         let sink = clx_telemetry::InMemorySink::shared();
         let session = ClxSession::with_telemetry(
@@ -1443,7 +1237,7 @@ mod tests {
         assert!(session.telemetry().is_some());
         let session = session.label(tokenize("734-422-8073")).unwrap();
         session.apply().unwrap();
-        session.apply_parallel().unwrap();
+        session.apply().unwrap();
         let mut stream = session.stream_columns().unwrap();
         stream.push_rows(&["(111) 222-3333", "(111) 222-3333"]);
         stream.finish();
@@ -1461,7 +1255,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase histogram {phase}; snapshot: {snap:?}"));
             assert!(h.count >= 1, "{phase} recorded no samples");
         }
-        // apply + apply_parallel both time the apply phase.
+        // Each apply times the apply phase.
         assert_eq!(snap.histogram("core.phase.apply_ns").unwrap().count, 2);
         // The column build and the stream reported through the same sink.
         assert!(snap.histogram("column.builder.build_ns").is_some());

@@ -98,6 +98,7 @@ impl ProgramCache {
     /// Compilation happens *outside* the cache lock, so concurrent lookups
     /// of resident programs never wait behind a miss; two threads missing on
     /// the same program may both compile it, and the first insertion wins.
+    /// Never fails: plain compilation accepts every program.
     pub fn get_or_compile(
         &self,
         program: &Program,
@@ -108,10 +109,10 @@ impl ProgramCache {
             return Ok(compiled);
         }
         let compiled = {
-            // Times the compilation (including failed ones) when a sink is
-            // attached; inert — no clock read — otherwise. The nested
-            // `engine.fused.build_ns` span and `engine.fused.fallbacks`
-            // counter flow to the same sink.
+            // Times the compilation when a sink is attached; inert — no
+            // clock read — otherwise. The nested `engine.fused.build_ns`
+            // span and `engine.fused.fallbacks` counter flow to the same
+            // sink.
             let _span = Span::start(self.telemetry.as_ref(), "engine.program_cache.compile_ns");
             Arc::new(CompiledProgram::compile_observed(
                 program,
@@ -316,14 +317,18 @@ mod tests {
     }
 
     #[test]
-    fn compile_errors_propagate_and_are_not_cached() {
+    fn ill_formed_programs_compile_and_are_cached() {
         let cache = ProgramCache::new(4);
         let bad = Program::new(vec![Branch::new(
             tokenize("abc"),
             Expr::concat(vec![StringExpr::extract(5)]),
         )]);
-        assert!(cache.get_or_compile(&bad, &tokenize("x")).is_err());
-        assert_eq!(cache.len(), 0);
+        let first = cache.get_or_compile(&bad, &tokenize("x")).unwrap();
+        assert_eq!(cache.len(), 1);
+        let second = cache.get_or_compile(&bad, &tokenize("x")).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        // The ill-formed branch never fires: the value is flagged.
+        assert!(first.execute(&["abc".to_string()]).row(0).is_flagged());
     }
 
     #[test]

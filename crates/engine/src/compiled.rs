@@ -15,15 +15,43 @@ use crate::error::CompileError;
 use crate::fused::{FusedFallback, FusedMatcher};
 use crate::report::RowOutcome;
 
-/// One compiled branch: the source pattern, its plan, and the pre-built
-/// Pike-VM regex program used to test opaque patterns in guaranteed linear
-/// time (the interpretive `Pattern::matches` backtracks and can go
-/// super-linear on adversarial rows).
+/// A pattern's full-match test, built once per pattern at compile time:
+/// the pre-built Pike VM (`clx-regex`), which runs in guaranteed linear
+/// time, whenever the pattern's regex rendering compiles; otherwise the
+/// interpreter's own `Pattern::matches` (a run longer than the VM's
+/// repetition bound, or a pattern past its program-size limit), so that
+/// no pattern the interpreter accepts is refused. The fallback backtracks
+/// and can go super-linear on adversarial rows, exactly as the
+/// interpreter does on the same pattern.
+#[derive(Debug, Clone)]
+pub(crate) enum Matcher {
+    Pike(Regex),
+    Interpreted(Pattern),
+}
+
+impl Matcher {
+    pub(crate) fn new(pattern: &Pattern) -> Self {
+        match Regex::new(&pattern.to_regex()) {
+            Ok(regex) => Matcher::Pike(regex),
+            Err(_) => Matcher::Interpreted(pattern.clone()),
+        }
+    }
+
+    pub(crate) fn is_full_match(&self, value: &str) -> bool {
+        match self {
+            Matcher::Pike(regex) => regex.is_full_match(value),
+            Matcher::Interpreted(pattern) => pattern.matches(value),
+        }
+    }
+}
+
+/// One compiled branch: the source pattern, its plan, and the matcher
+/// used to test the pattern per value when its leaf cannot decide it.
 #[derive(Debug)]
 pub struct CompiledBranch {
     pattern: Pattern,
     expr: Expr,
-    regex: Regex,
+    matcher: Matcher,
     transparent: bool,
 }
 
@@ -38,13 +66,15 @@ impl CompiledBranch {
         &self.expr
     }
 
-    /// The pre-built anchored Pike-VM regex equivalent to the pattern.
-    pub fn regex(&self) -> &Regex {
-        &self.regex
+    /// The branch's per-value full-match test.
+    pub(crate) fn matcher(&self) -> &Matcher {
+        &self.matcher
     }
 
     /// `true` when matching this branch is decidable from a row's leaf
-    /// pattern alone (see the `dispatch` module docs).
+    /// pattern alone (see the `dispatch` module docs). A branch whose plan
+    /// fails [`Branch::validate`](clx_unifi::Branch::validate) is never
+    /// transparent: it is checked per value and never fires.
     pub fn is_transparent(&self) -> bool {
         self.transparent
     }
@@ -52,23 +82,27 @@ impl CompiledBranch {
 
 /// A labelled UniFi program compiled for high-throughput batch execution.
 ///
-/// Compilation performs, once:
+/// Compilation accepts every program the interpreter runs and performs,
+/// once:
 ///
-/// * static validation of every branch's `Extract` bounds (an ill-formed
-///   program is rejected before any data is touched, instead of erroring
-///   midway through row N of the sequential path);
-/// * Pike-VM regex compilation of the target and every branch pattern;
+/// * static validation of every branch's `Extract` bounds: a branch that
+///   fails it errors on every row it matches, so it is compiled as a
+///   branch that never fires — the interpreter's lenient semantics
+///   ([`clx_unifi::transform_lenient`]) skip it on exactly those rows;
+/// * one matcher per pattern: a Pike-VM regex program where the pattern
+///   renders to one, otherwise the interpreter's own pattern matcher;
 /// * the transparency analysis enabling leaf-signature dispatch.
 ///
 /// The result is immutable and `Send + Sync`: one `CompiledProgram` serves
 /// any number of executor threads (and callers) concurrently. Execution
-/// semantics are exactly those of the sequential session path: rows already
-/// matching the target are conforming, otherwise the first matching branch
-/// rewrites the row, otherwise the row is flagged unchanged (§6.1).
+/// semantics are exactly those of the interpreter: rows already matching
+/// the target are conforming, otherwise the first branch that matches and
+/// evaluates rewrites the row, otherwise the row is flagged unchanged
+/// (§6.1).
 #[derive(Debug)]
 pub struct CompiledProgram {
     pub(crate) target: Pattern,
-    target_regex: Regex,
+    target_matcher: Matcher,
     target_transparent: bool,
     branches: Vec<CompiledBranch>,
     fingerprint: u64,
@@ -147,7 +181,8 @@ const _: () = {
 };
 
 impl CompiledProgram {
-    /// Compile `program` for execution against `target`.
+    /// Compile `program` for execution against `target`. Never fails; only
+    /// [`CompiledProgram::compile_strict`] can reject a program.
     pub fn compile(program: &Program, target: &Pattern) -> Result<Self, CompileError> {
         Self::compile_observed(program, target, None)
     }
@@ -155,33 +190,24 @@ impl CompiledProgram {
     /// [`CompiledProgram::compile`] under an optional telemetry sink: the
     /// fused-automaton construction is timed as `engine.fused.build_ns`
     /// and a per-program fallback is counted as `engine.fused.fallbacks`.
-    /// With `None` this never reads a clock.
+    /// With `None` this never reads a clock. Never fails.
     pub fn compile_observed(
         program: &Program,
         target: &Pattern,
         telemetry: Option<&Arc<dyn MetricSink>>,
     ) -> Result<Self, CompileError> {
-        let target_regex = Regex::new(&target.to_regex()).map_err(|e| CompileError::Regex {
-            branch: None,
-            message: e.to_string(),
-        })?;
-        let mut branches = Vec::with_capacity(program.len());
-        for (index, branch) in program.branches.iter().enumerate() {
-            branch
-                .validate()
-                .map_err(|source| CompileError::InvalidBranch { index, source })?;
-            let regex =
-                Regex::new(&branch.pattern.to_regex()).map_err(|e| CompileError::Regex {
-                    branch: Some(index),
-                    message: e.to_string(),
-                })?;
-            branches.push(CompiledBranch {
+        let branches: Vec<CompiledBranch> = program
+            .branches
+            .iter()
+            .map(|branch| CompiledBranch {
                 pattern: branch.pattern.clone(),
                 expr: branch.expr.clone(),
-                regex,
-                transparent: is_transparent(&branch.pattern),
-            });
-        }
+                matcher: Matcher::new(&branch.pattern),
+                // An ill-formed branch stays out of leaf dispatch: its
+                // per-value check fails to evaluate, so it never fires.
+                transparent: branch.validate().is_ok() && is_transparent(&branch.pattern),
+            })
+            .collect();
         let target_transparent = is_transparent(target);
         let (fused, fused_fallback) = {
             let _span = Span::start(telemetry, "engine.fused.build_ns");
@@ -201,7 +227,7 @@ impl CompiledProgram {
         }
         Ok(CompiledProgram {
             target: target.clone(),
-            target_regex,
+            target_matcher: Matcher::new(target),
             target_transparent,
             branches,
             fingerprint: fingerprint(program, target),
@@ -313,13 +339,14 @@ impl CompiledProgram {
                 Step::Conforming => return Decision::Conforming,
                 Step::Apply { branch, .. } => return Decision::Branch(*branch),
                 Step::CheckTarget => {
-                    if self.target_regex.is_full_match(value) {
+                    if self.target_matcher.is_full_match(value) {
                         return Decision::Conforming;
                     }
                 }
                 Step::CheckBranch { branch } => {
                     let b = &self.branches[*branch];
-                    if b.regex.is_full_match(value) && eval_expr(&b.expr, &b.pattern, value).is_ok()
+                    if b.matcher.is_full_match(value)
+                        && eval_expr(&b.expr, &b.pattern, value).is_ok()
                     {
                         return Decision::Branch(*branch);
                     }
@@ -422,7 +449,7 @@ impl CompiledProgram {
                     }
                 }
                 Step::CheckTarget => {
-                    if self.target_regex.is_full_match(value) {
+                    if self.target_matcher.is_full_match(value) {
                         return RowOutcome::Conforming {
                             value: value.to_string(),
                         };
@@ -430,10 +457,10 @@ impl CompiledProgram {
                 }
                 Step::CheckBranch { branch } => {
                     let b = &self.branches[*branch];
-                    // The Pike-VM regex is a linear-time prefilter; the
-                    // rewrite itself goes through the sequential path's own
-                    // evaluator so the two implementations cannot drift.
-                    if b.regex.is_full_match(value) {
+                    // The matcher is a prefilter; the rewrite itself goes
+                    // through the interpreter's own evaluator, so the two
+                    // cannot drift, and an ill-formed plan is skipped.
+                    if b.matcher.is_full_match(value) {
                         if let Ok(out) = eval_expr(&b.expr, &b.pattern, value) {
                             return RowOutcome::Transformed {
                                 from: value.to_string(),
@@ -798,9 +825,7 @@ mod tests {
 
         // Strict compilation rejects, naming the finding.
         let err = CompiledProgram::compile_strict(&program, &target, None).unwrap_err();
-        let CompileError::RejectedByAnalysis { findings } = &err else {
-            panic!("wrong error: {err:?}");
-        };
+        let CompileError::RejectedByAnalysis { findings } = &err;
         assert_eq!(findings.len(), 1);
         assert!(findings[0].contains("CLX002"), "{findings:?}");
         assert!(err.to_string().contains("static analysis rejected"));
@@ -909,9 +934,77 @@ mod tests {
             tokenize("abc"),
             Expr::concat(vec![StringExpr::extract(9)]),
         )]);
-        let err = CompiledProgram::compile(&program, &tokenize("x")).unwrap_err();
-        assert!(matches!(err, CompileError::InvalidBranch { index: 0, .. }));
-        assert!(err.to_string().contains("branch 0"));
+        let target = tokenize("x");
+        // Strict compilation rejects the branch: CLX005 on branch 0.
+        let err = CompiledProgram::compile_strict(&program, &target, None).unwrap_err();
+        let CompileError::RejectedByAnalysis { findings } = &err;
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.contains("CLX005") && f.contains("branch 0")),
+            "{findings:?}"
+        );
+        // Plain compilation accepts it; the branch never fires, so "abc"
+        // is flagged exactly as the interpreter flags it.
+        let compiled = CompiledProgram::compile(&program, &target).unwrap();
+        assert!(!compiled.branches()[0].is_transparent());
+        let want = RowOutcome::interpreted(&program, &target, "abc");
+        assert!(want.is_flagged());
+        assert_eq!(compiled.transform_uncached("abc"), want);
+        assert_eq!(compiled.decide("abc"), Decision::Flagged);
+        let report = compiled.execute_column(&Column::from_values(&["abc", "xyz"]));
+        assert!(report.iter_rows().all(|row| row.is_flagged()));
+    }
+
+    #[test]
+    fn patterns_the_pike_vm_refuses_match_through_the_interpreter() {
+        // A 1,200-digit run is past the VM's repetition bound, and 20 runs
+        // of 900 digits past its program size: both fall back to
+        // `Pattern::matches` instead of failing compilation.
+        let long = parse_pattern("<D>1200'-'<D>3").unwrap();
+        let wide = |separator: &str| {
+            Pattern::new(
+                (0..20)
+                    .flat_map(|_| {
+                        [
+                            Token::base(clx_pattern::TokenClass::Digit, 900),
+                            Token::literal(separator),
+                        ]
+                    })
+                    .collect(),
+            )
+        };
+        let (target, dotted) = (wide("-"), wide("."));
+        assert!(Regex::new(&long.to_regex()).is_err());
+        assert!(Regex::new(&target.to_regex()).is_err());
+        let program = Program::new(vec![
+            Branch::new(long, Expr::concat(vec![StringExpr::extract(3)])),
+            Branch::new(dotted, Expr::concat(vec![StringExpr::extract(39)])),
+        ]);
+        let compiled = CompiledProgram::compile(&program, &target).unwrap();
+        for branch in compiled.branches() {
+            assert!(matches!(branch.matcher(), Matcher::Interpreted(_)));
+        }
+
+        let run = "5".repeat(900);
+        let values = [
+            format!("{}-123", "4".repeat(1200)),
+            format!("{run}-").repeat(20),
+            format!("{run}.").repeat(20),
+            "12-3".to_string(),
+        ];
+        let report = compiled.execute(&values);
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(
+                report.row(i),
+                &RowOutcome::interpreted(&program, &target, value),
+                "row {i}"
+            );
+        }
+        assert_eq!(report.row(0).value(), "123");
+        assert!(report.row(1).is_conforming());
+        assert_eq!(report.row(2).value(), run);
+        assert!(report.row(3).is_flagged());
     }
 
     #[test]

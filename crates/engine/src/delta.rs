@@ -26,16 +26,16 @@
 //! # Why `affects_outcome` is sound
 //!
 //! Take a value `v` whose stored outcome the delta reports unaffected
-//! (target unchanged, `v` full-matches no changed branch's regex, old and
-//! new side). If the outcome was `Conforming`, the target still matches —
-//! branches are never consulted. Otherwise `v`'s old winner (or, for
+//! (target unchanged, `v` full-matches no changed branch's pattern, old
+//! and new side). If the outcome was `Conforming`, the target still
+//! matches — branches are never consulted. Otherwise `v`'s old winner (or, for
 //! `Flagged`, the absence of one) involved only *unchanged* branches, the
 //! greedy matching preserves their relative order, and every changed
 //! branch ahead of the winner in the new order fails to match `v` — so
 //! the new program picks the same winner with the same plan and produces
-//! byte-for-byte the same outcome. A regex full-match is a superset of
-//! "fires" (an opaque branch additionally needs its plan to evaluate), so
-//! the test errs toward re-deciding, never toward staleness.
+//! byte-for-byte the same outcome. A full match is a superset of "fires"
+//! (a branch additionally needs its plan to evaluate), so the test errs
+//! toward re-deciding, never toward staleness.
 //!
 //! # Why `affects_leaf` can retain whole dispatch plans
 //!
@@ -54,11 +54,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use clx_pattern::{tokenize, Pattern};
-use clx_regex::Regex;
 use clx_telemetry::MetricSink;
 use clx_unifi::{Branch, Program};
 
-use crate::compiled::CompiledProgram;
+use crate::compiled::{CompiledProgram, Matcher};
 use crate::fused::FusedMatcher;
 use crate::report::RowOutcome;
 
@@ -68,8 +67,8 @@ use crate::report::RowOutcome;
 struct ChangedBranch {
     /// The branch's source pattern (kept for the leaf-level matcher).
     pattern: Pattern,
-    /// The branch's linear-time matcher, cloned from the compiled form.
-    regex: Regex,
+    /// The branch's full-match test, cloned from the compiled form.
+    matcher: Matcher,
     /// Whether pattern matching is decided by the leaf signature alone.
     transparent: bool,
 }
@@ -164,7 +163,7 @@ impl ProgramDelta {
             idx.iter()
                 .map(|&i| ChangedBranch {
                     pattern: branches[i].pattern().clone(),
-                    regex: branches[i].regex().clone(),
+                    matcher: branches[i].matcher().clone(),
                     transparent: branches[i].is_transparent(),
                 })
                 .collect::<Vec<_>>()
@@ -255,7 +254,7 @@ impl ProgramDelta {
     /// `false` is a proof of stability (the outcome may be kept verbatim);
     /// `true` means "re-decide to find out" — the test is conservative for
     /// opaque changed branches, whose firing needs a per-value evaluation.
-    /// Cost: one regex full-match per changed branch, worst case.
+    /// Cost: one full match per changed branch, worst case.
     pub fn affects_outcome(&self, outcome: &RowOutcome) -> bool {
         if self.target_changed {
             return true;
@@ -276,18 +275,18 @@ impl ProgramDelta {
     }
 
     fn any_match(changed: &[ChangedBranch], value: &str) -> bool {
-        changed.iter().any(|b| b.regex.is_full_match(value))
+        changed.iter().any(|b| b.matcher.is_full_match(value))
     }
 
     /// [`ProgramDelta::affects_outcome`], memoized per *leaf signature*.
     ///
     /// A transparent pattern matches a value iff it matches the value's
     /// leaf signature (`tokenize(value)`), so when every changed branch is
-    /// transparent the per-value regex checks collapse to one fused
+    /// transparent the per-value checks collapse to one fused
     /// classification per **distinct leaf** — `memo` carries the answers
     /// (old-side hit, new-side hit) across calls. On a report whose
     /// distincts share a handful of formats this turns the screening cost
-    /// from O(distincts × changed-branch regex runs) into
+    /// from O(distincts × changed-branch matcher runs) into
     /// O(distincts × tokenize + leaves × classify), which is what lets
     /// [`crate::BatchReport::patch`] beat a full columnar re-run.
     ///
@@ -403,6 +402,11 @@ impl ProgramDelta {
 
 /// Drop the changed-branch indices whose branch the analyzer proves can
 /// never fire in `program`.
+///
+/// The analyzer's shadowing verdicts let every earlier branch claim the
+/// rows it matches. A branch with an out-of-bounds `Extract` claims none
+/// at run time (it is skipped), so when `program` has one, no verdict is
+/// trusted and every changed branch is kept.
 fn filter_reachable(program: &CompiledProgram, changed: Vec<usize>) -> Vec<usize> {
     if changed.is_empty() {
         return changed;
@@ -415,6 +419,9 @@ fn filter_reachable(program: &CompiledProgram, changed: Vec<usize>) -> Vec<usize
             .collect(),
     );
     let diagnostics = clx_analyze::analyze_program(&source, program.target());
+    if (0..source.len()).any(|i| !diagnostics.branch_facts(i).extract_safe) {
+        return changed;
+    }
     changed
         .into_iter()
         .filter(|&i| diagnostics.branch_facts(i).reachable)
@@ -603,5 +610,33 @@ mod tests {
             from: "12".into(),
             to: "n".into(),
         }));
+    }
+
+    #[test]
+    fn branches_shadowed_only_by_an_ill_formed_branch_stay_changed() {
+        // Branch 0 (<D>+) would shadow branch 1 (<D>2), but its Extract is
+        // out of bounds, so it never fires and branch 1 decides "12".
+        // Editing branch 1 must therefore re-decide "12".
+        let dplus = parse_pattern("<D>+").unwrap();
+        let d2 = parse_pattern("<D>2").unwrap();
+        let program = |constant: &str| {
+            vec![
+                Branch::new(dplus.clone(), Expr::concat(vec![StringExpr::extract(5)])),
+                Branch::new(
+                    d2.clone(),
+                    Expr::concat(vec![StringExpr::const_str(constant)]),
+                ),
+            ]
+        };
+        let a = compile(program("a"), "<L>+");
+        let b = compile(program("b"), "<L>+");
+        assert_eq!(a.transform_uncached("12").value(), "a");
+        let delta = ProgramDelta::between(&a, &b);
+        assert!(!delta.is_identity());
+        let stale = RowOutcome::Transformed {
+            from: "12".into(),
+            to: "a".into(),
+        };
+        assert!(delta.affects_outcome(&stale));
     }
 }

@@ -29,7 +29,10 @@
 //!
 //! Patterns that are *not* transparent (a literal such as `'CPT'` or `'N/A'`
 //! can distinguish values with identical leaves) are never decided from the
-//! leaf; the plan records a per-row check for them instead.
+//! leaf; the plan records a per-row check for them instead. A branch whose
+//! `Extract`s fail validation is treated as opaque too: its per-row check
+//! fails to evaluate on every row it matches, so it never fires, exactly as
+//! the interpreter skips it.
 //!
 //! ## Cached leaves from the column data plane
 //!

@@ -2,32 +2,14 @@
 
 use std::fmt;
 
-use clx_unifi::EvalError;
-
 /// Why a UniFi program could not be compiled for batch execution.
 ///
-/// Everything here indicates an ill-formed *program* (a synthesizer bug or a
-/// hand-built program), never ill-formed data: data problems surface as
-/// flagged rows, exactly as in the sequential path.
+/// Plain compilation ([`compile`](crate::CompiledProgram::compile)) accepts
+/// every program the interpreter runs and never returns this error; only
+/// the opt-in strict gate does. Data problems never surface here: they are
+/// flagged rows, exactly as in the interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
-    /// A branch references source tokens outside its own pattern. The
-    /// sequential evaluator would report the same defect lazily, on the
-    /// first row reaching that branch; compilation rejects it up front.
-    InvalidBranch {
-        /// Index of the offending branch.
-        index: usize,
-        /// The underlying bounds violation.
-        source: EvalError,
-    },
-    /// A pattern-derived regex failed to compile (indicates a bug in the
-    /// pattern-to-regex rendering).
-    Regex {
-        /// The offending branch, or `None` for the target pattern.
-        branch: Option<usize>,
-        /// The regex engine's error message.
-        message: String,
-    },
     /// Strict-mode compilation
     /// ([`compile_strict`](crate::CompiledProgram::compile_strict)) found
     /// `Error`-severity static diagnostics. The default compile entry
@@ -42,17 +24,6 @@ pub enum CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompileError::InvalidBranch { index, source } => {
-                write!(f, "branch {index} is ill-formed: {source}")
-            }
-            CompileError::Regex {
-                branch: Some(i),
-                message,
-            } => write!(f, "branch {i} pattern regex failed to compile: {message}"),
-            CompileError::Regex {
-                branch: None,
-                message,
-            } => write!(f, "target pattern regex failed to compile: {message}"),
             CompileError::RejectedByAnalysis { findings } => {
                 write!(
                     f,
@@ -74,28 +45,17 @@ mod tests {
 
     #[test]
     fn display_names_the_culprit() {
-        let e = CompileError::InvalidBranch {
-            index: 3,
-            source: EvalError::ExtractOutOfBounds {
-                from: 7,
-                to: 7,
-                pattern_len: 2,
-                rule: clx_unifi::ExtractRule::PastEnd,
-            },
+        let e = CompileError::RejectedByAnalysis {
+            findings: vec!["error [CLX005] branch 3: extract of token 7".into()],
         };
         let msg = e.to_string();
+        assert!(msg.contains("(1 error finding)"));
         assert!(msg.contains("branch 3"));
         assert!(msg.contains("token 7"));
 
-        let e = CompileError::Regex {
-            branch: None,
-            message: "boom".into(),
+        let e = CompileError::RejectedByAnalysis {
+            findings: vec!["a".into(), "b".into()],
         };
-        assert!(e.to_string().contains("target pattern"));
-        let e = CompileError::Regex {
-            branch: Some(1),
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("branch 1"));
+        assert!(e.to_string().contains("(2 error findings): a; b"));
     }
 }

@@ -3,17 +3,21 @@
 //! A compiled, interned batch-transformation subsystem for CLX.
 //!
 //! The interactive `ClxSession` (in `clx-core`) drives the paper's
-//! Cluster–Label–Transform loop and re-interprets the synthesized UniFi
-//! program on every distinct value — the right trade-off for a user study,
-//! the wrong one for serving large columns. This crate is the execution
-//! layer that consumes the session's output:
+//! Cluster–Label–Transform loop; every transform it runs — `apply`, the
+//! result-pattern view, explanation checks, streams — executes here. The
+//! UniFi interpreter (`clx_unifi::transform_lenient`, wrapped as
+//! [`RowOutcome::interpreted`]) is the executable specification the tests
+//! hold this crate to:
 //!
-//! * [`CompiledProgram::compile`] turns a UniFi [`Program`](clx_unifi::Program)
-//!   plus its labelled target pattern into an immutable, `Send + Sync`
-//!   executable: branch `Extract` bounds are validated up front, every
-//!   pattern gets a pre-built Pike-VM regex program (`clx-regex`), and a
-//!   transparency analysis marks the patterns whose match relation is a
-//!   function of a row's token-class signature;
+//! * [`CompiledProgram::compile`] turns any UniFi
+//!   [`Program`](clx_unifi::Program) plus its labelled target pattern into
+//!   an immutable, `Send + Sync` executable: a branch whose `Extract`
+//!   bounds fail validation compiles to a branch that never fires (the
+//!   interpreter skips it on every row it matches), every pattern gets one
+//!   matcher (a pre-built Pike-VM regex program from `clx-regex`, or the
+//!   interpreter's pattern matcher where the pattern renders to no VM
+//!   program), and a transparency analysis marks the patterns whose match
+//!   relation is a function of a row's token-class signature;
 //! * execution runs on one interned path: rows are interned into a
 //!   `clx-column` id space, each distinct value is decided once, and
 //!   dispatch is by the integer leaf-id of its token-class signature — each
@@ -44,9 +48,10 @@
 //! * [`ProgramCache`] is a bounded, thread-safe LRU of compiled programs
 //!   keyed by the structural fingerprint of `(program, target)`.
 //!
-//! The executor's semantics are exactly those of the sequential path: rows
-//! already matching the target conform, the first matching branch rewrites,
-//! everything else is left unchanged and flagged (§6.1 of the paper).
+//! The executor's semantics are exactly those of the interpreter: rows
+//! already matching the target conform, the first branch that matches and
+//! evaluates rewrites, everything else is left unchanged and flagged (§6.1
+//! of the paper).
 //!
 //! ```
 //! use clx_engine::CompiledProgram;

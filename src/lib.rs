@@ -14,11 +14,12 @@
 //!   [`ClxSession<Labelled>`](ClxSession), the only type carrying the
 //!   transform-phase methods (synthesize, explain as `Replace` operations,
 //!   repair, apply). Phase misuse is a compile error, not a runtime check
-//!   ([`core`]). Dynamic callers hold an [`AnySession`].
-//! * [`engine`] — the compiled batch-execution subsystem:
-//!   [`ClxSession::compile`](clx_core::ClxSession::compile) turns the
-//!   synthesized program into a thread-safe [`CompiledProgram`] for
-//!   interned columnar execution, streaming over columns larger than
+//!   ([`core`]).
+//! * [`engine`] — the compiled execution subsystem every session transform
+//!   runs on: [`ClxSession::compile`](clx_core::ClxSession::compile) turns
+//!   the synthesized program into a thread-safe [`CompiledProgram`] for
+//!   interned columnar execution (what
+//!   [`ClxSession::apply`](clx_core::ClxSession::apply) runs), streaming over columns larger than
 //!   memory ([`ColumnStream`]), and LRU caching ([`ProgramCache`]). Reports are columnar
 //!   ([`TransformReport`]): one outcome per *distinct* value plus the
 //!   column's shared row map — O(distinct), never per-duplicate clones.
@@ -106,8 +107,7 @@ pub use clx_column::{
     BudgetPolicy, Column, ColumnBuilder, ColumnChunk, ColumnInterner, InternerStats, StreamBudget,
 };
 pub use clx_core::{
-    AnySession, Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome,
-    TransformReport,
+    Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome, TransformReport,
 };
 pub use clx_engine::{
     BatchReport, ColumnStream, CompiledProgram, DispatchStats, PatchStats, ProgramCache,

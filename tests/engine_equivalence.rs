@@ -1,8 +1,9 @@
-//! Interpreter/engine equivalence: every compiled `clx-engine` path must
-//! produce *exactly* the rows of `ClxSession::apply` and of the interpreter
-//! deciding each row on its own — same transformed values, and identical
-//! `Flagged` rows (§6.1 "leave unchanged and flag") — on the phone-number
-//! workload of `crates/datagen`.
+//! Interpreter/engine equivalence: `ClxSession::apply` and every other
+//! compiled `clx-engine` path must produce *exactly* the rows of the
+//! interpreter oracle deciding each row on its own — same transformed
+//! values, and identical `Flagged` rows (§6.1 "leave unchanged and flag") —
+//! on the phone-number workload of `crates/datagen`, and on programs whose
+//! patterns the Pike VM cannot compile.
 
 use std::sync::Arc;
 
@@ -37,16 +38,20 @@ fn expected_rows(session: &ClxSession<Labelled>, data: &[String]) -> Vec<RowOutc
         .collect()
 }
 
+/// The interpreter's answer for every row of `data`, as a report.
+fn oracle_report(session: &ClxSession<Labelled>, data: &[String]) -> TransformReport {
+    TransformReport::from_row_outcomes(session.target().clone(), expected_rows(session, data))
+}
+
 #[test]
 fn parallel_report_is_identical_to_sequential_apply() {
     let data = noisy_phone_column(3_000, 20_19);
-    let session = labelled_session(data);
+    let session = labelled_session(data.clone());
 
-    let sequential = session.apply().unwrap();
-    let parallel = session.apply_parallel().unwrap();
+    let applied = session.apply().unwrap();
 
     // Row-for-row identity: same variants, same values, same order.
-    assert_eq!(sequential, parallel);
+    assert_eq!(applied, oracle_report(&session, &data));
 }
 
 #[test]
@@ -54,14 +59,15 @@ fn flagged_rows_match_exactly() {
     let data = noisy_phone_column(1_500, 7);
     let session = labelled_session(data.clone());
 
-    let sequential = session.apply().unwrap();
+    let sequential = oracle_report(&session, &data);
     let compiled = session.compile().unwrap();
     let parallel = TransformReport::from_batch(compiled.execute(&data));
 
     // The workload really produces flagged rows: "N/A" never reaches the
     // target pattern, and bare 10-digit rows (`<D>10`) cannot be split at
     // token granularity by UniFi's `Extract`. Both paths must flag the same
-    // rows with unchanged values.
+    // rows with unchanged values, and `apply` must too.
+    assert_eq!(session.apply().unwrap(), sequential);
     let flagged: Vec<&str> = sequential.flagged_values();
     assert!(flagged.contains(&"N/A"), "workload must exercise flagging");
     assert!(flagged
@@ -173,4 +179,57 @@ fn program_cache_serves_repeat_sessions() {
     let sequential = session.apply().unwrap();
     assert_eq!(a, sequential);
     assert_eq!(b, sequential);
+}
+
+/// Regression: a 1,200-digit run is past the Pike VM's repetition bound,
+/// and twenty 900-digit runs are past its program size. Synthesis emits a
+/// `<D>1200` branch for the long row, a target may have either shape, and
+/// `apply`, `compile` and `stream_columns` must run them exactly as the
+/// interpreter does (they used to fail to compile).
+#[test]
+fn patterns_past_the_pike_vm_limits_run_and_equal_the_oracle() {
+    let long = "4".repeat(1200);
+    let wide_row = |sep: char, digit: char| {
+        let run: String = std::iter::repeat_n(digit, 900).collect();
+        format!("{run}{sep}").repeat(20)
+    };
+    let cases = [
+        (
+            // A 1,200-digit source row next to ordinary dashed phones.
+            vec![
+                format!("{long}.422.8073"),
+                "734.236.3466".to_string(),
+                "734-422-8073".to_string(),
+            ],
+            format!("{long}-645-8397"),
+            1,
+        ),
+        (
+            // The 20 x <D>900'-' target over a conforming and a flagged
+            // row. (A dotted wide source would add a branch, but its
+            // synthesis alone takes seconds in a debug build.)
+            vec![wide_row('-', '7'), "N/A".to_string()],
+            wide_row('-', '8'),
+            0,
+        ),
+    ];
+    for (data, example, transformed) in cases {
+        let session = ClxSession::new(data.clone())
+            .label_by_example(&example)
+            .unwrap();
+        let oracle = oracle_report(&session, &data);
+        assert_eq!(oracle.transformed_count(), transformed);
+        assert_eq!(oracle.conforming_count(), 1 - transformed);
+        assert_eq!(session.apply().unwrap(), oracle);
+
+        let compiled = session.compile().unwrap();
+        assert_eq!(TransformReport::from_batch(compiled.execute(&data)), oracle);
+
+        let mut stream = session.stream_columns().unwrap();
+        let streamed: Vec<RowOutcome> = stream.push_rows(&data).into_row_outcomes();
+        assert_eq!(
+            TransformReport::from_row_outcomes(session.target().clone(), streamed),
+            oracle
+        );
+    }
 }

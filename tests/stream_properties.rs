@@ -455,33 +455,52 @@ fn any_token() -> impl Strategy<Value = Token> {
     ]
 }
 
-/// Random patterns, occasionally too wide for the automaton's bit budget
-/// (`<D>300`), so the recorded width fallback is part of the tested space
-/// (the shim's `prop_oneof!` is unweighted; repeating the random arm keeps
-/// the wide pattern at ~1 in 6).
+/// Random patterns, occasionally (~1 in 6) an extreme one: too wide for
+/// the automaton's bit budget (`<D>300`), past the Pike VM's repetition
+/// bound (`<D>1001`, `<D>20000`), or both and opaque (`'CPT'<D>1500`), so
+/// the recorded width fallback and the interpreted-matcher fallback are
+/// part of the tested space (the shim's `prop_oneof!` is unweighted;
+/// repeating the random arm and nesting the extreme ones keeps the mix).
 fn any_pattern() -> impl Strategy<Value = Pattern> {
     let tokens = || proptest::collection::vec(any_token(), 0..5).prop_map(Pattern::new);
+    let digits = |n| Token::base(TokenClass::Digit, n);
     prop_oneof![
         tokens(),
         tokens(),
         tokens(),
         tokens(),
         tokens(),
-        Just(Pattern::new(vec![Token::base(TokenClass::Digit, 300)])),
+        prop_oneof![
+            Just(Pattern::new(vec![digits(300)])),
+            Just(Pattern::new(vec![digits(1001)])),
+            Just(Pattern::new(vec![digits(20_000)])),
+            Just(Pattern::new(vec![Token::literal("CPT"), digits(1500)])),
+        ],
     ]
 }
 
-/// A random `(program, target)` pair that always compiles: every branch
-/// rewrite is either a constant or `extract(1)` (valid for any non-empty
-/// source pattern).
+/// A random `(program, target)` pair, which may be ill-formed: a branch
+/// rewrite is a constant, `extract(1)` (valid for any non-empty source
+/// pattern), or — about one branch in five — an `Extract` that breaks one
+/// of the bounds rules, so the branch errors on every row it matches and
+/// must never fire.
 fn any_program() -> impl Strategy<Value = (Program, Pattern)> {
-    let branch = (any_pattern(), 0..2usize).prop_map(|(pattern, extract)| {
-        let expr = if extract == 1 && !pattern.is_empty() {
-            Expr::concat(vec![StringExpr::extract(1), StringExpr::const_str("!")])
-        } else {
-            Expr::concat(vec![StringExpr::const_str("X")])
+    let branch = (any_pattern(), 0..5usize, 0..3usize).prop_map(|(pattern, kind, rule)| {
+        let parts = match kind {
+            2 | 3 if !pattern.is_empty() => {
+                vec![StringExpr::extract(1), StringExpr::const_str("!")]
+            }
+            4 => {
+                let (from, to) = match rule {
+                    0 => (pattern.len() + 1, pattern.len() + 1),
+                    1 => (0, 0),
+                    _ => (2, 1),
+                };
+                vec![StringExpr::const_str("?"), StringExpr::Extract { from, to }]
+            }
+            _ => vec![StringExpr::const_str("X")],
         };
-        Branch::new(pattern, expr)
+        Branch::new(pattern, Expr::concat(parts))
     });
     (proptest::collection::vec(branch, 1..4), any_pattern())
         .prop_map(|(branches, target)| (Program::new(branches), target))
@@ -585,7 +604,8 @@ proptest! {
 
     /// The fused automaton and the per-branch loop are the same decision
     /// function: for random programs (transparent, opaque, `+`-quantified,
-    /// fallback-forcing wide) and random values — pattern-derived matches
+    /// fallback-forcing wide, past the Pike VM's limits, with ill-formed
+    /// `Extract`s) and random values — pattern-derived matches
     /// and arbitrary junk — `decide` agrees exactly, and so does `execute`
     /// with each other and with the interpreter, value by value.
     #[test]
@@ -880,7 +900,8 @@ proptest! {
     /// The full interactive loop: after *any* sequence of repairs
     /// (including rejected ones), [`ClxSession::reverify`] of the
     /// pre-repair report equals a fresh [`ClxSession::apply`] under the
-    /// repaired program.
+    /// repaired program, and that equals the interpreter oracle row by
+    /// row.
     ///
     /// [`ClxSession::reverify`]: clx::ClxSession::reverify
     /// [`ClxSession::apply`]: clx::ClxSession::apply
@@ -903,6 +924,11 @@ proptest! {
         }
         let patched = session.reverify(&baseline).unwrap();
         let fresh = session.apply().unwrap();
+        let (program, target) = (session.program(), session.target().clone());
+        for (row, outcome) in session.data().iter().zip(fresh.iter_rows()) {
+            let want = RowOutcome::interpreted(&program, &target, row);
+            prop_assert!(outcome == &want, "apply and interpreter diverged on {:?}: {:?} vs {:?}", row, outcome, want);
+        }
         prop_assert_eq!(patched, fresh);
     }
 }
